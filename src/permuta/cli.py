@@ -56,34 +56,10 @@ def _parse_sites(text: str, dimension: int) -> List[Site]:
     return out
 
 
-class _Emitter:
-    def __init__(self, path: Optional[str]):
-        self.path = path
-        self.lines: List[str] = []
-
-    def emit(self, record: dict) -> None:
-        self.lines.append(json.dumps(record, sort_keys=True))
-
-    def flush(self) -> None:
-        text = "\n".join(self.lines) + ("\n" if self.lines else "")
-        if self.path:
-            with open(self.path, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-
-
 def _seed_of(args) -> int:
     if args.seed is not None:
         return args.seed
     return int.from_bytes(os.urandom(8), "little")
-
-
-def _base_record(args, fam: RateFamily, seed: Optional[int]) -> dict:
-    rec = {"command": args.cmd_name, "family_hash": family_hash(fam)}
-    if seed is not None:
-        rec["seed"] = seed
-    return rec
 
 
 def _config_from(args, fam: RateFamily, seed: int) -> Configuration:
@@ -92,40 +68,28 @@ def _config_from(args, fam: RateFamily, seed: int) -> Configuration:
     return sample_product(args.rho, fam.lattice, seed)
 
 
-def cmd_validate(args) -> int:
-    fam = load_family(args.family)
+# Each command gets the loaded family (None without --family) and its seed
+# (None unless the command records one) and returns (records, passed).
+
+def cmd_validate(args, fam, seed):
     report = validate_family(fam)
-    out = _Emitter(args.out)
-    rec = _base_record(args, fam, None)
-    rec.update(report.to_dict())
-    out.emit(rec)
-    out.flush()
-    return 0 if report.irreducible else 1
+    return [report.to_dict()], report.irreducible
 
 
-def cmd_simulate(args) -> int:
-    fam = load_family(args.family)
-    seed = _seed_of(args)
+def cmd_simulate(args, fam, seed):
     eta0 = _config_from(args, fam, seed + 1)
     traj = run_config(eta0, fam, args.time, seed)
     if args.csv:
         write_trajectory_csv(traj, args.csv)
-    out = _Emitter(args.out)
-    rec = _base_record(args, fam, seed)
-    rec.update({
+    return [{
         "t_end": traj.t_end,
         "n_events": traj.n_events,
         "particles": traj.terminal.particle_count,
         "rho": None if args.sites is not None else args.rho,
-    })
-    out.emit(rec)
-    out.flush()
-    return 0
+    }], True
 
 
-def cmd_dual_check(args) -> int:
-    fam = load_family(args.family)
-    seed = _seed_of(args)
+def cmd_dual_check(args, fam, seed):
     if args.sites is None:
         raise ValueError("--sites is required (the dual state A)")
     A = DualState.of(fam.lattice, _parse_sites(args.sites, fam.dimension))
@@ -134,23 +98,16 @@ def cmd_dual_check(args) -> int:
     gap = abs(lhs.mean - rhs.mean)
     se = (lhs.std_error ** 2 + rhs.std_error ** 2) ** 0.5
     passed = gap <= 3 * se
-    out = _Emitter(args.out)
-    rec = _base_record(args, fam, seed)
-    rec.update({
+    return [{
         "lhs_mean": lhs.mean, "lhs_se": lhs.std_error,
         "rhs_mean": rhs.mean, "rhs_se": rhs.std_error,
         "gap": gap, "combined_se": se, "n": args.samples,
         "t": args.time, "rho": args.rho, "engine": args.engine,
         "pass": passed,
-    })
-    out.emit(rec)
-    out.flush()
-    return 0 if passed else 1
+    }], passed
 
 
-def cmd_couple_triple(args) -> int:
-    fam = load_family(args.family)
-    seed = _seed_of(args)
+def cmd_couple_triple(args, fam, seed):
     if args.sites is None:
         raise ValueError("--sites is required (the two tagged points)")
     pts = _parse_sites(args.sites, fam.dimension)
@@ -159,18 +116,10 @@ def cmd_couple_triple(args) -> int:
     g = coupling.estimate_g((pts[0], pts[1]), fam, args.horizon, args.samples, seed,
                             threads=args.threads)
     report = coupling.check_g_inequalities(g, validate_family(fam))
-    out = _Emitter(args.out)
-    rec = _base_record(args, fam, seed)
-    rec.update(g.to_dict())
-    rec["inequalities"] = report.to_dict()
-    out.emit(rec)
-    out.flush()
-    return 0 if report.passed else 1
+    return [{**g.to_dict(), "inequalities": report.to_dict()}], report.passed
 
 
-def cmd_couple_recurrent(args) -> int:
-    fam = load_family(args.family)
-    seed = _seed_of(args)
+def cmd_couple_recurrent(args, fam, seed):
     lat = fam.lattice
     if args.discrepancies is not None:
         disc = _parse_sites(args.discrepancies, fam.dimension)
@@ -178,7 +127,7 @@ def cmd_couple_recurrent(args) -> int:
             raise ValueError(f"--discrepancies needs exactly two sites, got {len(disc)}")
     else:
         disc = None
-    out = _Emitter(args.out)
+    records = []
     coupled_runs = 0
     total_block = total_merge = 0
     for i in range(args.samples):
@@ -198,8 +147,7 @@ def cmd_couple_recurrent(args) -> int:
         coupled_runs += int(res.coupled)
         total_block += res.counters["block_events"]
         total_merge += res.counters["merges"]
-        rec = _base_record(args, fam, seed)
-        rec.update({
+        records.append({
             "run": i,
             "coupled": res.coupled,
             "T_couple": res.T_couple,
@@ -207,9 +155,7 @@ def cmd_couple_recurrent(args) -> int:
             "block_events": res.counters["block_events"],
             "merges": res.counters["merges"],
         })
-        out.emit(rec)
-    summary = _base_record(args, fam, seed)
-    summary.update({
+    records.append({
         "runs": args.samples,
         "coupled_runs": coupled_runs,
         "coupled_fraction": coupled_runs / args.samples if args.samples else None,
@@ -217,14 +163,10 @@ def cmd_couple_recurrent(args) -> int:
         "merges": total_merge,
         "merge_fraction": total_merge / total_block if total_block else None,
     })
-    out.emit(summary)
-    out.flush()
-    return 0
+    return records, True
 
 
-def cmd_couple_general(args) -> int:
-    fam = load_family(args.family)
-    seed = _seed_of(args)
+def cmd_couple_general(args, fam, seed):
     lat = fam.lattice
     if args.sites_a is None or args.sites_b is None:
         raise ValueError("--sites-a and --sites-b are required (the two initial configurations)")
@@ -234,9 +176,7 @@ def cmd_couple_general(args) -> int:
                                         closure=args.closure, record_history=bool(args.csv))
     if args.csv:
         coupling.write_coupling_csv(res, args.csv)
-    out = _Emitter(args.out)
-    rec = _base_record(args, fam, seed)
-    rec.update({
+    return [{
         "D_initial": (A0.word ^ B0.word).bit_count(),
         "D_final": res.final.D,
         "coupled": res.coupled,
@@ -245,107 +185,84 @@ def cmd_couple_general(args) -> int:
         "block_events": res.counters["block_events"],
         "merges": res.counters["merges"],
         "closure": args.closure,
-    })
-    out.emit(rec)
-    out.flush()
-    return 0
+    }], True
 
 
-def cmd_couple_lemmas(args) -> int:
+def cmd_couple_lemmas(args, fam, seed):
     max_range = args.max_range
     if max_range is None:
         max_range = 5 if os.environ.get("PERMUTA_SLOW_TESTS") == "1" else 4
-    covers = coupling.lemma_cover_existence(max_range)
-    monotone = coupling.lemma_D_monotone(max_range)
-    out = _Emitter(args.out)
-    for rep in (covers, monotone):
-        rec = {"command": args.cmd_name}
-        rec.update(rep.to_dict())
-        out.emit(rec)
-    out.flush()
-    return 0 if covers.passed and monotone.passed else 1
+    reports = [coupling.lemma_cover_existence(max_range), coupling.lemma_D_monotone(max_range)]
+    return [rep.to_dict() for rep in reports], all(rep.passed for rep in reports)
 
 
-def cmd_couple_bound(args) -> int:
-    fam = load_family(args.family)
-    seed = _seed_of(args)
+def cmd_couple_bound(args, fam, seed):
     rep = coupling.success_bound_check(fam, args.samples, seed, T=args.horizon)
-    out = _Emitter(args.out)
-    rec = _base_record(args, fam, seed)
-    rec.update(rep.to_dict())
-    out.emit(rec)
-    out.flush()
-    return 0 if rep.passed else 1
+    return [rep.to_dict()], rep.passed
 
 
-def cmd_exact_stationarity(args) -> int:
-    fam = load_family(args.family)
+def cmd_exact_stationarity(args, fam, seed):
     G = exact.build_generator(fam, sparse=fam.lattice.n_sites > 12)
     nu = exact.product_measure_vector(args.rho, fam.lattice.n_sites)
     residual = exact.stationarity_residual(nu, G)
     tol = args.tolerance_structural
-    out = _Emitter(args.out)
-    rec = _base_record(args, fam, None)
-    rec.update({"rho": args.rho, "residual": residual, "tolerance": tol,
-                "pass": residual <= tol})
-    out.emit(rec)
-    out.flush()
-    return 0 if residual <= tol else 1
+    return [{"rho": args.rho, "residual": residual, "tolerance": tol,
+             "pass": residual <= tol}], residual <= tol
 
 
-def cmd_exact_sector(args) -> int:
-    fam = load_family(args.family)
+def cmd_exact_sector(args, fam, seed):
     if args.particles is None:
         raise ValueError("--particles is required (the sector to solve)")
     G = exact.build_generator(fam, sparse=fam.lattice.n_sites > 12)
     dist = exact.sector_stationary(G, args.particles)
     gap = float(abs(dist.probs - 1.0 / dist.probs.size).max())
     tol = args.tolerance_solve
-    out = _Emitter(args.out)
-    rec = _base_record(args, fam, None)
-    rec.update({"n": dist.n, "states": int(dist.probs.size),
-                "uniform_gap": gap, "tolerance": tol, "pass": gap <= tol})
-    out.emit(rec)
-    out.flush()
-    return 0 if gap <= tol else 1
+    return [{"n": dist.n, "states": int(dist.probs.size),
+             "uniform_gap": gap, "tolerance": tol, "pass": gap <= tol}], gap <= tol
 
 
-def cmd_exact_duality(args) -> int:
-    fam = load_family(args.family)
+def cmd_exact_duality(args, fam, seed):
     lat = fam.lattice
     if args.sites is None:
         raise ValueError("--sites is required (the dual state A)")
     A = DualState.of(lat, _parse_sites(args.sites, fam.dimension))
-    seed = _seed_of(args)
     eta0 = (_parse_sites(args.sites_eta, fam.dimension) if args.sites_eta is not None else None)
     conf = (Configuration.from_sites(lat, eta0) if eta0 is not None
             else sample_product(args.rho, lat, seed))
     lhs, rhs = exact.duality_exact(fam, conf, A, args.time)
     gap = abs(lhs - rhs)
     tol = args.tolerance_duality
-    out = _Emitter(args.out)
-    rec = _base_record(args, fam, seed)
-    rec.update({"lhs": lhs, "rhs": rhs, "gap": gap, "t": args.time,
-                "tolerance": tol, "pass": gap <= tol})
-    out.emit(rec)
-    out.flush()
-    return 0 if gap <= tol else 1
+    return [{"lhs": lhs, "rhs": rhs, "gap": gap, "t": args.time,
+             "tolerance": tol, "pass": gap <= tol}], gap <= tol
 
 
-def cmd_exact_falsify(args) -> int:
-    fam = load_family(args.family)
-    rep = exact.asymmetric_duality_falsifier(fam, args.time)
-    out = _Emitter(args.out)
-    rec = _base_record(args, fam, None)
-    rec.update(rep.to_dict())
-    out.emit(rec)
-    out.flush()
-    return 0
+def cmd_exact_falsify(args, fam, seed):
+    return [exact.asymmetric_duality_falsifier(fam, args.time).to_dict()], True
 
 
-def _add_common(p: argparse.ArgumentParser, family_required: bool = True) -> None:
-    if family_required:
-        p.add_argument("--family", required=True, help="family JSON file")
+def _run(args) -> int:
+    """Run one command and write its records, sorted JSON lines, to --out or
+    stdout.  Each record carries the command name, the family hash and the
+    seed where the command has them."""
+    fam = load_family(args.family) if "family" in args else None
+    seed = _seed_of(args) if getattr(args, "seeded", False) else None
+    records, passed = args.func(args, fam, seed)
+    base = {"command": args.cmd_name}
+    if fam is not None:
+        base["family_hash"] = family_hash(fam)
+    if seed is not None:
+        base["seed"] = seed
+    text = "".join(json.dumps({**base, **rec}, sort_keys=True) + "\n" for rec in records)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0 if passed else 1
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", required=True, help="family JSON file")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--time", type=float, default=1.0)
@@ -370,33 +287,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="event-driven run from a sampled or explicit configuration")
     _add_common(p)
-    p.set_defaults(func=cmd_simulate, cmd_name="simulate")
+    p.set_defaults(func=cmd_simulate, cmd_name="simulate", seeded=True)
 
     p = sub.add_parser("dual-check", help="Monte Carlo duality comparison")
     _add_common(p)
     p.add_argument("--engine", choices=("vector", "event"), default="vector")
-    p.set_defaults(func=cmd_dual_check, cmd_name="dual-check")
+    p.set_defaults(func=cmd_dual_check, cmd_name="dual-check", seeded=True)
 
     couple = sub.add_parser("couple", help="coupled constructions")
     csub = couple.add_subparsers(dest="couple_command", required=True)
 
     p = csub.add_parser("triple", help="I/J/E estimates and inequality checks")
     _add_common(p)
-    p.set_defaults(func=cmd_couple_triple, cmd_name="couple triple")
+    p.set_defaults(func=cmd_couple_triple, cmd_name="couple triple", seeded=True)
 
     p = csub.add_parser("recurrent", help="two-discrepancy coupling runs")
     _add_common(p)
     p.add_argument("--discrepancies", default=None,
                    help="the two discrepancy sites (same syntax as --sites)")
     p.add_argument("--stop-at-couple", action="store_true")
-    p.set_defaults(func=cmd_couple_recurrent, cmd_name="couple recurrent")
+    p.set_defaults(func=cmd_couple_recurrent, cmd_name="couple recurrent", seeded=True)
 
     p = csub.add_parser("general", help="discrepancy-monotone coupling run")
     _add_common(p)
     p.add_argument("--sites-a", default=None)
     p.add_argument("--sites-b", default=None)
     p.add_argument("--closure", choices=("strict", "relaxed"), default="strict")
-    p.set_defaults(func=cmd_couple_general, cmd_name="couple general")
+    p.set_defaults(func=cmd_couple_general, cmd_name="couple general", seeded=True)
 
     p = csub.add_parser("lemmas", help="exhaustive cover and monotonicity checks")
     p.add_argument("--max-range", type=int, default=None)
@@ -405,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = csub.add_parser("bound", help="empirical merge fraction vs the derangement bound")
     _add_common(p)
-    p.set_defaults(func=cmd_couple_bound, cmd_name="couple bound")
+    p.set_defaults(func=cmd_couple_bound, cmd_name="couple bound", seeded=True)
 
     ex = sub.add_parser("exact", help="finite-state oracles")
     esub = ex.add_subparsers(dest="exact_command", required=True)
@@ -422,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = esub.add_parser("duality", help="two-route exact duality")
     _add_common(p)
     p.add_argument("--sites-eta", default=None, help="occupied sites of the initial configuration")
-    p.set_defaults(func=cmd_exact_duality, cmd_name="exact duality")
+    p.set_defaults(func=cmd_exact_duality, cmd_name="exact duality", seeded=True)
 
     p = esub.add_parser("falsify", help="duality witness scan")
     _add_common(p)
@@ -438,7 +355,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as e:
         return 0 if not e.code else 2
     try:
-        return args.func(args)
+        return _run(args)
     except PropertyViolation as e:
         print(f"property violation: {e}", file=sys.stderr)
         return 1

@@ -28,21 +28,11 @@ from .permutation import (
     select_sigma_two_discrepancy,
     word_apply,
 )
-from .process import Configuration, Estimate, _compiled
+from .process import Configuration, Estimate, _compiled, permute_bits
 from .rates import FamilyReport, RateFamily, check_range_closure, require_simulatable
 from .sampling import DrawBuffer, parallel_map, substream
 
 Word = Tuple[int, ...]
-
-
-def _tadd(x: Site, v: Site, lat: Lattice) -> Site:
-    out = tuple(a + b for a, b in zip(x, v))
-    return lat.wrap(out) if lat.is_torus else out
-
-
-def _tsub(x: Site, v: Site, lat: Lattice) -> Site:
-    out = tuple(a - b for a, b in zip(x, v))
-    return lat.wrap(out) if lat.is_torus else out
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +83,7 @@ class _PairClocks:
         self._cache: dict = {}
 
     def entries(self, p1: Site, p2: Site):
-        delta = _tsub(p2, p1, self.lat)
+        delta = self.lat.wrap(tuple(a - b for a, b in zip(p2, p1)))
         hit = self._cache.get(delta)
         if hit is None:
             hit = self._build(delta)
@@ -108,12 +98,12 @@ class _PairClocks:
         for p in (origin, delta):
             for bidx, (perm, q) in enumerate(self.base):
                 for r in sorted(perm.range_sites):
-                    v = _tsub(p, r, lat)
+                    v = lat.wrap(tuple(a - b for a, b in zip(p, r)))
                     key = (bidx, v)
                     if key in seen:
                         continue
                     seen.add(key)
-                    rng = {_tadd(s, v, lat) for s in perm.range_sites}
+                    rng = {lat.shift(s, v) for s in perm.range_sites}
                     covers = (origin in rng) | ((delta in rng) << 1)
                     if covers:
                         entries.append((bidx, v, covers, q))
@@ -125,34 +115,49 @@ class _PairClocks:
         return entries, cum_cov, tot
 
     def apply_point(self, bidx: int, v_abs: Site, x: Site) -> Site:
-        y = self.base[bidx][0](_tsub(x, v_abs, self.lat))
-        return _tadd(y, v_abs, self.lat)
+        y = self.base[bidx][0](self.lat.wrap(tuple(a - b for a, b in zip(x, v_abs))))
+        return self.lat.shift(y, v_abs)
 
 
-def _pick_entry(entries, cum, total, u: float):
-    return entries[bisect_right(cum, u * total)]
+def _next_arrival(clocks: _PairClocks, pair, t, T, buf):
+    """Next arrival of the pair's covering clocks after time t.
+
+    Returns (t, None) once the horizon T is passed, else (t, (bidx, v_abs,
+    covers)) for the expanded permutation that fired.  Draws one Exp(1) and,
+    before T, one uniform.
+    """
+    entries, cum, total = clocks.entries(*pair)
+    t += buf.std_exponential() / total
+    if t > T:
+        return t, None
+    bidx, v, covers, _ = entries[bisect_right(cum, buf.uniform() * total)]
+    return t, (bidx, clocks.lat.shift(pair[0], v), covers)
 
 
-def _shared_phase(clocks: _PairClocks, pair, t, T, buf):
+def _move_one(clocks: _PairClocks, pair, bidx, v_abs, which: int):
+    """Apply the fired permutation to point ``which`` (1 or 2) of the pair only."""
+    moved = clocks.apply_point(bidx, v_abs, pair[which - 1])
+    return (moved, pair[1]) if which == 1 else (pair[0], moved)
+
+
+def _shared_phase(clocks: _PairClocks, pair, t, T, buf, sink=None):
     """Run the common pair until the first both-cover arrival or the horizon.
 
     Returns (t, pair, arrival) with arrival = (bidx, v_abs, label) of the
     decoupling event, or arrival = None if T was reached first.
     """
-    lat = clocks.lat
     while True:
-        entries, cum, total = clocks.entries(*pair)
-        t += buf.std_exponential() / total
-        if t > T:
+        t, hit = _next_arrival(clocks, pair, t, T, buf)
+        if hit is None:
             return t, pair, None
-        bidx, v, covers, _ = _pick_entry(entries, cum, total, buf.uniform())
-        v_abs = _tadd(pair[0], v, lat)
+        bidx, v_abs, covers = hit
         if covers == 3:
             label = 1 if buf.uniform() < 0.5 else 2
             return t, pair, (bidx, v_abs, label)
         # single-cover move keeps all three processes identical
-        moved = clocks.apply_point(bidx, v_abs, pair[0 if covers == 1 else 1])
-        pair = (moved, pair[1]) if covers == 1 else (pair[0], moved)
+        pair = _move_one(clocks, pair, bidx, v_abs, covers)
+        if sink is not None:
+            sink(TripleEvent(t, "shared", covers, covers, None), pair)
 
 
 def _evolve_E(clocks, pair, t, T, buf, stop_on_jump, sink=None):
@@ -162,12 +167,10 @@ def _evolve_E(clocks, pair, t, T, buf, stop_on_jump, sink=None):
     arrivals = acted = 0
     t_jump = None
     while True:
-        entries, cum, total = clocks.entries(*pair)
-        t += buf.std_exponential() / total
-        if t > T:
+        t, hit = _next_arrival(clocks, pair, t, T, buf)
+        if hit is None:
             return t_jump, pair, arrivals, acted
-        bidx, v, covers, _ = _pick_entry(entries, cum, total, buf.uniform())
-        v_abs = _tadd(pair[0], v, clocks.lat)
+        bidx, v_abs, covers = hit
         if covers == 3:
             arrivals += 1
             act = buf.uniform() < 0.5
@@ -181,8 +184,7 @@ def _evolve_E(clocks, pair, t, T, buf, stop_on_jump, sink=None):
             if act and stop_on_jump:
                 return t_jump, pair, arrivals, acted
         else:
-            moved = clocks.apply_point(bidx, v_abs, pair[0 if covers == 1 else 1])
-            pair = (moved, pair[1]) if covers == 1 else (pair[0], moved)
+            pair = _move_one(clocks, pair, bidx, v_abs, covers)
             if sink is not None:
                 sink(TripleEvent(t, "E", covers, None, None), pair)
 
@@ -196,18 +198,15 @@ def _evolve_I(clocks, pair, t, T, buf, stop_on_meet, sink=None):
     if t_meet is not None and stop_on_meet:
         return t_meet, pair
     while True:
-        entries, cum, total = clocks.entries(*pair)
-        t += buf.std_exponential() / total
-        if t > T:
+        t, hit = _next_arrival(clocks, pair, t, T, buf)
+        if hit is None:
             return t_meet, pair
-        bidx, v, covers, _ = _pick_entry(entries, cum, total, buf.uniform())
-        v_abs = _tadd(pair[0], v, clocks.lat)
+        bidx, v_abs, covers = hit
         if covers == 3:
             label = 1 if buf.uniform() < 0.5 else 2
         else:
-            label = 1 if covers == 1 else 2
-        moved = clocks.apply_point(bidx, v_abs, pair[label - 1])
-        pair = (moved, pair[1]) if label == 1 else (pair[0], moved)
+            label = covers
+        pair = _move_one(clocks, pair, bidx, v_abs, label)
         if sink is not None:
             sink(TripleEvent(t, "I", covers, label, None), pair)
         if pair[0] == pair[1] and t_meet is None:
@@ -222,12 +221,10 @@ def _evolve_J(clocks, pair, t, T, buf, sink=None):
     Returns (t_first_both_jump or None, pair)."""
     t_jump = None
     while True:
-        entries, cum, total = clocks.entries(*pair)
-        t += buf.std_exponential() / total
-        if t > T:
+        t, hit = _next_arrival(clocks, pair, t, T, buf)
+        if hit is None:
             return t_jump, pair
-        bidx, v, covers, _ = _pick_entry(entries, cum, total, buf.uniform())
-        v_abs = _tadd(pair[0], v, clocks.lat)
+        bidx, v_abs, covers = hit
         pair = tuple(clocks.apply_point(bidx, v_abs, x) for x in pair)
         if covers == 3 and t_jump is None:
             t_jump = t
@@ -245,52 +242,32 @@ def run_triple(
     """Full trajectory of the shared construction and the three decoupled laws."""
     require_simulatable(fam)
     lat = fam.lattice
-    p1, p2 = (lat.wrap(x[0]) if lat.is_torus else tuple(x[0]),
-              lat.wrap(x[1]) if lat.is_torus else tuple(x[1]))
+    p1, p2 = lat.wrap(x[0]), lat.wrap(x[1])
     if p1 == p2:
         raise ValueError("the two tagged points must differ")
     clocks = _PairClocks(fam)
     buf = DrawBuffer(substream(seed))
     events: List[TripleEvent] = []
     history: List[TripleState] = []
-    counters: Dict[str, Any] = {"shared_events": 0, "both_cover_arrivals": 0,
-                                "e_acted": 0, "i_met": 0, "e_jumped": 0, "j_jumped": 0}
 
     # shared phase, event by event so the identity I = J = E is asserted live
-    t, pair = 0.0, (p1, p2)
-    arrival = None
-    while True:
-        entries, cum, total = clocks.entries(*pair)
-        t_next = t + buf.std_exponential() / total
-        if t_next > T:
-            break
-        t = t_next
-        bidx, v, covers, _ = _pick_entry(entries, cum, total, buf.uniform())
-        v_abs = _tadd(pair[0], v, lat)
-        if covers == 3:
-            arrival = (bidx, v_abs, 1 if buf.uniform() < 0.5 else 2)
-            break
-        moved = clocks.apply_point(bidx, v_abs, pair[0 if covers == 1 else 1])
-        pair = (moved, pair[1]) if covers == 1 else (pair[0], moved)
-        counters["shared_events"] += 1
-        events.append(TripleEvent(t, "shared", covers, covers, None))
+    def shared(ev, p):
+        events.append(ev)
         if record_history:
-            history.append(TripleState(pair, pair, pair, False, None))
+            history.append(TripleState(p, p, p, False, None))
+    T_dec, pair, arrival = _shared_phase(clocks, (p1, p2), 0.0, T, buf, sink=shared)
+    counters: Dict[str, Any] = {"shared_events": len(events), "both_cover_arrivals": 0,
+                                "e_acted": 0, "i_met": 0, "e_jumped": 0, "j_jumped": 0}
 
     if arrival is None:
         final = TripleState(pair, pair, pair, False, None)
         return TripleResult(tuple(history), tuple(events), final, counters)
 
     bidx, v_abs, label = arrival
-    T_dec = t
     j_pair = tuple(clocks.apply_point(bidx, v_abs, p) for p in pair)
     e_acted = label == 1
     e_pair = j_pair if e_acted else pair
-    i_pair = (
-        (clocks.apply_point(bidx, v_abs, pair[0]), pair[1])
-        if label == 1
-        else (pair[0], clocks.apply_point(bidx, v_abs, pair[1]))
-    )
+    i_pair = _move_one(clocks, pair, bidx, v_abs, label)
     counters["both_cover_arrivals"] += 1
     counters["e_acted"] += int(e_acted)
     counters["j_jumped"] = 1
@@ -368,10 +345,7 @@ def _g_one_run(clocks: _PairClocks, x, T: float, gen) -> Tuple[int, int, int, in
     hit_j = 1
     arrivals, acted = 1, int(label == 1)
     hit_e = int(label == 1)
-    if label == 1:
-        i_pair = (clocks.apply_point(bidx, v_abs, pair[0]), pair[1])
-    else:
-        i_pair = (pair[0], clocks.apply_point(bidx, v_abs, pair[1]))
+    i_pair = _move_one(clocks, pair, bidx, v_abs, label)
     hit_i = int(i_pair[0] == i_pair[1])
     if not hit_e:
         t_jump, _, arr2, act2 = _evolve_E(clocks, pair, t, T, buf, stop_on_jump=True)
@@ -395,8 +369,7 @@ def estimate_g(
     """Monte Carlo g2, gbar2, gbarbar2 over n runs of the triple construction."""
     require_simulatable(fam)
     lat = fam.lattice
-    p = (lat.wrap(x[0]) if lat.is_torus else tuple(x[0]),
-         lat.wrap(x[1]) if lat.is_torus else tuple(x[1]))
+    p = (lat.wrap(x[0]), lat.wrap(x[1]))
     if p[0] == p[1]:
         raise ValueError("the two tagged points must differ")
     clocks = _PairClocks(fam)
@@ -835,8 +808,8 @@ def run_recurrent_coupling(
             e = comp.alias.draw_u((u - X) / comp.Q_tot)
             info = infos[range_of_eid[e]]
             if coupled or (info.mask & need) != need:
-                Aw = comp.apply_word(e, Aw)
-                Bw = Aw if coupled else comp.apply_word(e, Bw)
+                Aw = permute_bits(comp.pairs[e], comp.masks[e], Aw)
+                Bw = Aw if coupled else permute_bits(comp.pairs[e], comp.masks[e], Bw)
                 a_marginal[e] += 1
                 rid, ekind = (info.rid, "off-range") if (info.mask & need) != need else (info.rid, "diagonal")
             else:
@@ -955,8 +928,8 @@ def run_general_coupling(
             e = comp.alias.draw_u((u - X) / comp.Q_tot)
             info = infos[range_of_eid[e]]
             if not diff & info.mask:
-                Aw = comp.apply_word(e, Aw)
-                Bw = Aw if not diff else comp.apply_word(e, Bw)
+                Aw = permute_bits(comp.pairs[e], comp.masks[e], Aw)
+                Bw = Aw if not diff else permute_bits(comp.pairs[e], comp.masks[e], Bw)
                 a_marginal[e] += 1
                 counters["events"] += 1
                 if record_history:
@@ -965,8 +938,8 @@ def run_general_coupling(
             blk = get_block(info, _extract(Aw, info.positions), _extract(Bw, info.positions))
             if blk is _DEGRADED:
                 # relaxed closure left no usable staircase here; hold the diagonal
-                Aw = comp.apply_word(e, Aw)
-                Bw = comp.apply_word(e, Bw)
+                Aw = permute_bits(comp.pairs[e], comp.masks[e], Aw)
+                Bw = permute_bits(comp.pairs[e], comp.masks[e], Bw)
                 a_marginal[e] += 1
                 counters["events"] += 1
                 counters["block_diag"] += 1

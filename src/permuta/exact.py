@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import NotSymmetric, PropertyViolation, SectorReducible, TooLarge
 from .lattice import Site
-from .process import Configuration, DualState, _compiled
+from .process import Configuration, DualState, _compiled, permute_bits
 from .rates import RateFamily, check_symmetry
 
 TOL_STRUCTURAL = 1e-12
@@ -28,6 +28,7 @@ TOL_DUALITY = 1e-9
 _DENSE_SITE_CAP = 16
 _SPARSE_SITE_CAP = 22
 _SECTOR_SOLVE_CAP = 4096
+_LOG_TINY = -700.0  # uniformization starts at the first Poisson weight above e^-700
 
 
 @dataclass(frozen=True)
@@ -56,13 +57,6 @@ class SectorDistribution:
         return {"n": self.n, "words": self.words.tolist(), "probs": self.probs.tolist()}
 
 
-def _vector_images(pairs, mask: int, words: np.ndarray) -> np.ndarray:
-    out = words & ~mask
-    for s, d in pairs:
-        out = out | (((words >> s) & 1) << d)
-    return out
-
-
 def build_generator(fam: RateFamily, sparse: bool = False) -> GeneratorMatrix:
     """Assemble the full generator; entry (w, w') sums the rates of expanded
     permutations sending w to w' != w, diagonal balancing each row to zero."""
@@ -79,33 +73,23 @@ def build_generator(fam: RateFamily, sparse: bool = False) -> GeneratorMatrix:
         return GeneratorMatrix(Q, N, sparse)
     comp = _compiled(fam)
     words = np.arange(S, dtype=np.int64)
+    rows, cols, vals = [], [], []
+    for pairs, mask, q in zip(comp.pairs, comp.masks, comp.rates):
+        img = permute_bits(pairs, mask, words)
+        moved = img != words
+        rows.append(words[moved])
+        cols.append(img[moved])
+        vals.append(np.full(rows[-1].shape, float(q)))
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    # entries accumulate in expanded-permutation order, as separate += would
+    diag = np.zeros(S)
+    np.add.at(diag, rows, -vals)
     if sparse:
-        rows, cols, vals = [], [], []
-        diag = np.zeros(S)
-        for e in range(len(comp.perms)):
-            img = _vector_images(comp.pairs[e], comp.masks[e], words)
-            moved = img != words
-            src, dst = words[moved], img[moved]
-            q = float(comp.rates[e])
-            rows.append(src)
-            cols.append(dst)
-            vals.append(np.full(src.shape, q))
-            np.add.at(diag, src, -q)
-        Q = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(S, S),
-        ).tocsr()
-        Q = Q + sp.diags(diag)
+        Q = sp.coo_matrix((vals, (rows, cols)), shape=(S, S)).tocsr() + sp.diags(diag)
         return GeneratorMatrix(Q.tocsr(), N, True)
     Q = np.zeros((S, S))
-    for e in range(len(comp.perms)):
-        img = _vector_images(comp.pairs[e], comp.masks[e], words)
-        moved = img != words
-        src, dst = words[moved], img[moved]
-        q = float(comp.rates[e])
-        # source indices are distinct within one permutation, so += is safe
-        Q[src, dst] += q
-        Q[src, src] -= q
+    np.add.at(Q, (rows, cols), vals)
+    Q[words, words] = diag
     return GeneratorMatrix(Q, N, False)
 
 
@@ -175,36 +159,55 @@ def sector_stationary(G: GeneratorMatrix, n: int) -> SectorDistribution:
     return SectorDistribution(n, idx, pi)
 
 
-def _evolve_dist(p0: np.ndarray, Q, sparse: bool, t: float, tol: float = 1e-12,
+def _uniformized(v: np.ndarray, M, t: float, tol: float = 1e-12,
                  extra_terms: int = 0) -> np.ndarray:
-    """p0 e^{tQ} by Poisson-weighted powers of the jump kernel P = I + Q/Lam.
+    """e^{tQ} applied through M by Poisson-weighted powers of the jump kernel
+    I + M/Lam: pass M = Q.T to push a distribution forward (v e^{tQ}), M = Q to
+    pull a column function back (e^{tQ} v).
 
-    Iterates are probability vectors throughout, so the expansion is stable;
-    extra_terms extends the series past the tail cutoff for stability checks.
+    Iterates are probability vectors (M = Q.T) or averages of v (M = Q), so
+    the expansion is stable; extra_terms extends the series past the tail
+    cutoff for stability checks.
     """
-    diag = Q.diagonal()
+    diag = M.diagonal()
     lam = float(max(-diag.min(), 0.0)) if diag.size else 0.0
-    if lam * t == 0.0:
-        return p0.astype(float).copy()
-    if lam * t > 700.0:
-        raise TooLarge(f"uniformization rate * horizon = {lam * t:.3g} is too stiff")
-    QT = Q.T.tocsr() if sparse else Q.T
-    step = (lambda p: QT.dot(p)) if sparse else (lambda p: QT @ p)
-    w = math.exp(-lam * t)
-    p = p0.astype(float).copy()
-    out = w * p
-    cum = w
+    g = v.astype(float)
+    lt = lam * t
+    if lt == 0.0:
+        return g
+    # Poisson(lt) weights: the first one that is a normal double comes from
+    # log space (k = 0 unless exp(-lt) underflows), the rest from w *= lt / k
+    log_lt = math.log(lt)
     k = 0
+    while k * log_lt - lt - math.lgamma(k + 1) < _LOG_TINY:
+        k += 1
+        g = g + (M @ g) / lam
+    w = math.exp(k * log_lt - lt - math.lgamma(k + 1))
+    out = w * g
+    cum = w
     remaining = extra_terms
-    while cum < 1.0 - tol or remaining > 0:
-        if cum >= 1.0 - tol:
+    while True:
+        # rounding can hold the summed weights just short of 1 - tol at long
+        # horizons; past the mode the tail is below the geometric bound
+        if cum >= 1.0 - tol or (k + 1 > lt and w * (k + 1) / (k + 1 - lt) <= tol):
+            if remaining == 0:
+                return out
             remaining -= 1
         k += 1
-        p = p + step(p) / lam
-        w *= lam * t / k
-        out = out + w * p
+        g = g + (M @ g) / lam
+        w *= lt / k
+        out = out + w * g
         cum += w
-    return out
+
+
+def _subset_law(G: GeneratorMatrix, mask: int, t: float, extra_terms: int = 0):
+    """Law at time t of the subset chain started from the set with bit mask
+    ``mask``: the words of its particle-count sector and their probabilities."""
+    idx = _sector_words(G.n_sites, mask.bit_count())
+    sub = G.Q[idx][:, idx]
+    q0 = np.zeros(idx.size)
+    q0[int(np.searchsorted(idx, mask))] = 1.0
+    return idx, _uniformized(q0, sub.T, t, extra_terms=extra_terms)
 
 
 def duality_exact(
@@ -236,15 +239,11 @@ def duality_exact(
 
     p0 = np.zeros(S)
     p0[eta0.word] = 1.0
-    pT = _evolve_dist(p0, G.Q, True, t, extra_terms=extra_terms)
+    pT = _uniformized(p0, G.Q.T, t, extra_terms=extra_terms)
     words = np.arange(S, dtype=np.int64)
     lhs = float(pT[(words & mask) == mask].sum())
 
-    idx = _sector_words(N, len(dual.sites))
-    sub = G.Q[idx][:, idx].tocsr()
-    q0 = np.zeros(idx.size)
-    q0[int(np.searchsorted(idx, mask))] = 1.0
-    qT = _evolve_dist(q0, sub, True, t, extra_terms=extra_terms)
+    idx, qT = _subset_law(G, mask, t, extra_terms=extra_terms)
     rhs = float(qT[(idx & ~eta0.word) == 0].sum())
     return lhs, rhs
 
@@ -297,14 +296,9 @@ def asymmetric_duality_falsifier(fam: RateFamily, t: float) -> FalsifierReport:
     for mask in masks:
         # lhs(eta0) for every eta0 at once: evolve the indicator as a column
         f = ((words & mask) == mask).astype(float)
-        lhs_vec = _evolve_col(f, G.Q, t)
+        lhs_vec = _uniformized(f, G.Q, t)
         # rhs(eta0): subset-chain law out of A, then a subset-sum over eta0
-        nA = mask.bit_count()
-        idx = _sector_words(N, nA)
-        sub = G.Q[idx][:, idx].tocsr()
-        q0 = np.zeros(idx.size)
-        q0[int(np.searchsorted(idx, mask))] = 1.0
-        qT = _evolve_dist(q0, sub, True, t)
+        idx, qT = _subset_law(G, mask, t)
         r_full = np.zeros(S)
         r_full[idx] = qT
         for i in range(N):
@@ -324,25 +318,3 @@ def asymmetric_duality_falsifier(fam: RateFamily, t: float) -> FalsifierReport:
         eta0_sites = tuple(lat.site_at(i) for i in range(N) if (w >> i) & 1)
         A_sites = tuple(lat.site_at(i) for i in range(N) if (mask >> i) & 1)
     return FalsifierReport(found, best_gap, n_checked, t, eta0_sites, A_sites, lhs, rhs)
-
-
-def _evolve_col(f: np.ndarray, Q: sp.csr_matrix, t: float, tol: float = 1e-12) -> np.ndarray:
-    """e^{tQ} f for a column function f, through the same jump-kernel series."""
-    diag = Q.diagonal()
-    lam = float(max(-diag.min(), 0.0)) if diag.size else 0.0
-    if lam * t == 0.0:
-        return f.astype(float).copy()
-    if lam * t > 700.0:
-        raise TooLarge(f"uniformization rate * horizon = {lam * t:.3g} is too stiff")
-    w = math.exp(-lam * t)
-    g = f.astype(float).copy()
-    out = w * g
-    cum = w
-    k = 0
-    while cum < 1.0 - tol:
-        k += 1
-        g = g + Q.dot(g) / lam
-        w *= lam * t / k
-        out = out + w * g
-        cum += w
-    return out

@@ -93,14 +93,6 @@ class Lattice:
         return tuple(reversed(coords))
 
 
-def shift(x: Site, v: Site, lat: Lattice) -> Site:
-    return lat.shift(x, v)
-
-
-def sites(lat: Lattice) -> list[Site]:
-    return lat.sites()
-
-
 def unwrap_range(sites_in: Iterable[Site], lat: Lattice) -> dict[Site, Site]:
     """Map each site of a wrapped torus range to unwrapped Z^d coordinates.
 

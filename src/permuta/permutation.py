@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import NoCover
 from .lattice import Lattice, Site, unwrap_range
@@ -202,18 +202,6 @@ def enumerate_derangements(R: Iterable[Site], lat: Optional[Lattice] = None) -> 
 # ---------------------------------------------------------------------------
 # sigma selection rules
 
-Policy = Callable[[list[FinitePermutation]], list[FinitePermutation]]
-
-
-def _candidates(R: Sequence[Site], lat: Optional[Lattice], policy) -> list[FinitePermutation]:
-    cands = enumerate_cyclic(R, lat)
-    if policy == "canonical-first":
-        return cands
-    if callable(policy):
-        return policy(cands)
-    raise ValueError(f"unknown ordering policy {policy!r}")
-
-
 def word_apply(sigma: FinitePermutation, R_ordered: Sequence[Site], a: Word) -> Word:
     """Word after sigma acts on occupancies of R: bit(x) = a(sigma^-1(x))."""
     pos = {s: i for i, s in enumerate(R_ordered)}
@@ -225,7 +213,6 @@ def select_sigma_two_discrepancy(
     a: Word,
     b: Word,
     lat: Optional[Lattice] = None,
-    policy="canonical-first",
 ) -> FinitePermutation:
     """First cyclic permutation of R mapping word a exactly onto word b.
 
@@ -239,7 +226,7 @@ def select_sigma_two_discrepancy(
         raise ValueError("words must have equal popcount")
     if sum(x != y for x, y in zip(a, b)) != 2:
         raise ValueError("words must differ in exactly two positions")
-    for sigma in _candidates(ordered, lat, policy):
+    for sigma in enumerate_cyclic(ordered, lat):
         if word_apply(sigma, ordered, a) == b:
             return sigma
     raise NoCover(f"no cyclic permutation of {ordered} maps {a} to {b}")
@@ -250,7 +237,6 @@ def select_sigma_general(
     a: Word,
     b: Word,
     lat: Optional[Lattice] = None,
-    policy="canonical-first",
 ) -> FinitePermutation:
     """First cyclic permutation of R whose action dominates: sigma(a) >= b pointwise.
 
@@ -263,7 +249,7 @@ def select_sigma_general(
         raise ValueError("word length must equal |R|")
     if sum(a) < sum(b):
         raise ValueError("popcount(a) must be >= popcount(b)")
-    for sigma in _candidates(ordered, lat, policy):
+    for sigma in enumerate_cyclic(ordered, lat):
         if all(x >= y for x, y in zip(word_apply(sigma, ordered, a), b)):
             return sigma
     raise NoCover(f"no cyclic permutation of {ordered} covers {b} from {a}")

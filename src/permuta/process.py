@@ -111,6 +111,16 @@ class Estimate:
 # ---------------------------------------------------------------------------
 # compiled torus family
 
+def permute_bits(pairs, mask: int, words):
+    """Words after one permutation: bit s moves to bit d for every (s, d) in
+    ``pairs``, bits outside ``mask`` stay.  ``words`` is a Python int or an
+    int64 array of words."""
+    out = words & ~mask
+    for s, d in pairs:
+        out |= ((words >> s) & 1) << d
+    return out
+
+
 class _Compiled:
     """Expanded family in flat-array form for the event engines."""
 
@@ -143,12 +153,6 @@ class _Compiled:
         self.alias = AliasTable(self.rates)
         self._table: Optional[np.ndarray] = None
 
-    def apply_word(self, e: int, word: int) -> int:
-        out = word & ~self.masks[e]
-        for s, d in self.pairs[e]:
-            out |= ((word >> s) & 1) << d
-        return out
-
     def word_table(self) -> np.ndarray:
         """(n_perms, 2^N) table of word images; built once, small N only."""
         if self._table is None:
@@ -156,13 +160,8 @@ class _Compiled:
             if N > _TABLE_SITE_CAP:
                 raise ValueError(f"word table limited to {_TABLE_SITE_CAP} sites")
             words = np.arange(1 << N, dtype=np.int64)
-            rows = []
-            for e in range(len(self.perms)):
-                out = words & ~self.masks[e]
-                for s, d in self.pairs[e]:
-                    out = out | (((words >> s) & 1) << d)
-                rows.append(out)
-            self._table = np.vstack(rows)
+            self._table = np.vstack([permute_bits(p, m, words)
+                                     for p, m in zip(self.pairs, self.masks)])
         return self._table
 
 
@@ -207,7 +206,7 @@ def run_config(
         if t > T:
             break
         e = comp.alias.draw(gen)
-        word = comp.apply_word(e, word)
+        word = permute_bits(comp.pairs[e], comp.masks[e], word)
         n += 1
         if word.bit_count() != count0:
             raise PropertyViolation("particle count changed")  # bijections cannot do this
@@ -223,9 +222,7 @@ def _finite_candidates(fam: RateFamily, support: frozenset):
     for x in sorted(support):
         for b, (perm, q) in enumerate(fam.base):
             for r in sorted(perm.range_sites):
-                v = tuple(a - c for a, c in zip(x, r))
-                if lat.is_torus:
-                    v = lat.wrap(v)
+                v = lat.wrap(tuple(a - c for a, c in zip(x, r)))
                 key = (b, v)
                 if key not in seen:
                     seen.add(key)
@@ -269,9 +266,7 @@ def run_finite(
         # sigma = shift of base perm by v; move every covered support site
         new_support = set()
         for y in support:
-            y0 = tuple(a - c for a, c in zip(y, v))
-            if lat.is_torus:
-                y0 = lat.wrap(y0)
+            y0 = lat.wrap(tuple(a - c for a, c in zip(y, v)))
             new_support.add(lat.shift(perm(y0), v))
         support = frozenset(new_support)
         n += 1

@@ -14,7 +14,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -167,6 +168,7 @@ def _perms_within(fam: RateFamily, R: frozenset) -> list[FinitePermutation]:
     return out
 
 
+@lru_cache(maxsize=32)
 def check_range_closure(fam: RateFamily, mode: str = "strict") -> ClosureReport:
     """Strict: every derangement of every occurring range is present.
 
@@ -314,8 +316,12 @@ class FamilyReport:
         }
 
 
+@lru_cache(maxsize=32)
 def validate_family(fam: RateFamily) -> FamilyReport:
-    """Full validation report; also asserts m(R) * M_II * P(M_I) >= Z(R) when closed."""
+    """Full validation report; also asserts m(R) * M_II * P(M_I) >= Z(R) when closed.
+
+    Memoized on the frozen family; a raised violation is not cached, so it
+    raises again on every call."""
     if not fam.base:
         raise InvalidFamily("family has no permutations")
     closed = check_range_closure(fam, mode="strict").passed

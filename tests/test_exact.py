@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 import permuta as P
 from conftest import one_way_three_cycles, swaps, three_cycles
-from permuta.exact import _evolve_dist
+from permuta.exact import _uniformized
 
 
 def test_swap_generator_hand_entries():
@@ -118,7 +119,7 @@ def test_uniformization_matches_expm(fam6):
         ref = expm(Q.T * t)
         p0 = np.zeros(64)
         p0[0b010110] = 1.0
-        mine = _evolve_dist(p0, Q, False, t)
+        mine = _uniformized(p0, Q.T, t)
         assert np.abs(mine - ref @ p0).max() < 1e-10
 
 
@@ -150,10 +151,24 @@ def test_duality_exact_equilibrium_limit(fam6):
     assert abs(rhs - target) < 1e-9
 
 
-def test_duality_exact_stiffness_cap(fam8):
-    eta0 = P.Configuration(fam8.lattice, 0b00011111)
-    with pytest.raises(P.TooLarge):
-        P.duality_exact(fam8, eta0, [(0,)], 200.0)
+def test_duality_exact_long_horizon(fam8):
+    """Rate * horizon far past exp underflow (~16 * 200): both sides against
+    scipy's expm_multiply and the uniform law of the 4-particle sector."""
+    eta0 = P.Configuration(fam8.lattice, 0b00101101)
+    mask = 0b1011  # A = {0, 1, 3}
+    Q = P.build_generator(fam8, sparse=True).Q
+    words = np.arange(256)
+    p0 = np.zeros(256)
+    p0[eta0.word] = 1.0
+    target = math.comb(5, 1) / math.comb(8, 4)  # P[A inside a uniform 4-subset]
+    for t in [50.0, 200.0]:
+        lhs, rhs = P.duality_exact(fam8, eta0, [(0,), (1,), (3,)], t)
+        assert abs(lhs - rhs) <= 1e-9
+        ref = expm_multiply(Q.T.tocsc() * t, p0)[(words & mask) == mask].sum()
+        assert abs(lhs - ref) <= 1e-10
+        assert abs(rhs - ref) <= 1e-10
+        assert abs(lhs - target) <= 1e-9
+        assert abs(rhs - target) <= 1e-9
 
 
 def test_duality_exact_rejects_asymmetric():

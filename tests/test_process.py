@@ -1,9 +1,12 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 import permuta as P
 from conftest import three_cycles
+from permuta.process import _compiled, permute_bits
 
 
 def test_configuration_accessors():
@@ -100,6 +103,24 @@ def test_first_jump_distribution_matches_enumeration(fam8):
         assert abs(hits[w] / n - p) < 4 * se
 
 
+def test_permute_bits_matches_site_action(fam8):
+    """The one bit kernel, on an int64 array of all L=8 words and on Python
+    ints for L=64 (bit 63 rules out int64), against the site-level action."""
+    comp = _compiled(fam8)
+    words = np.arange(256, dtype=np.int64)
+    for sigma, pairs, mask in zip(comp.perms, comp.pairs, comp.masks):
+        ref = [P.apply(sigma, P.Configuration(fam8.lattice, w)).word for w in range(256)]
+        assert permute_bits(pairs, mask, words).tolist() == ref
+    fam64 = three_cycles(64)
+    comp = _compiled(fam64)
+    rng = random.Random(11)
+    for _ in range(10):
+        w = rng.getrandbits(64) | (1 << 63)
+        for sigma, pairs, mask in zip(comp.perms, comp.pairs, comp.masks):
+            ref = P.apply(sigma, P.Configuration(fam64.lattice, w)).word
+            assert permute_bits(pairs, mask, w) == ref
+
+
 def test_run_finite_conserves_set_size(fam8):
     A0 = P.DualState.of(fam8.lattice, [(0,), (1,), (4,)])
     for seed in range(5):
@@ -141,6 +162,17 @@ def test_duality_mc_engines_agree(fam8):
     for a, b in [(v_l, e_l), (v_r, e_r)]:
         se = math.hypot(a.std_error, b.std_error)
         assert abs(a.mean - b.mean) < 3 * se
+
+
+def test_event_duality_validates_family_once():
+    P.validate_family.cache_clear()
+    P.duality_mc(0.5, [(0,), (2,)], three_cycles(8), 1.0, 200, 3, engine="event")
+    assert P.validate_family.cache_info().misses == 1
+    # failures are not cached: an invalid family raises on every call
+    empty = P.RateFamily(P.Lattice.torus([6]), ())
+    for _ in range(2):
+        with pytest.raises(P.InvalidFamily):
+            P.validate_family(empty)
 
 
 def test_duality_mc_rejects_asymmetric():
