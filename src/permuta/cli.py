@@ -3,7 +3,7 @@
 Exit codes: 0 clean pass, 1 a property or tolerance check failed, 2 usage or
 input errors (unparseable files, violated preconditions).  Records are sorted
 by key and carry the family hash and the seed actually used, so reruns with
-the same inputs are byte-identical whatever --threads says.
+the same inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -93,8 +93,7 @@ def cmd_dual_check(args, fam, seed):
     if args.sites is None:
         raise ValueError("--sites is required (the dual state A)")
     A = DualState.of(fam.lattice, _parse_sites(args.sites, fam.dimension))
-    lhs, rhs = duality_mc(args.rho, A, fam, args.time, args.samples, seed,
-                          engine=args.engine, threads=args.threads)
+    lhs, rhs = duality_mc(args.rho, A, fam, args.time, args.samples, seed, engine=args.engine)
     gap = abs(lhs.mean - rhs.mean)
     se = (lhs.std_error ** 2 + rhs.std_error ** 2) ** 0.5
     passed = gap <= 3 * se
@@ -113,8 +112,7 @@ def cmd_couple_triple(args, fam, seed):
     pts = _parse_sites(args.sites, fam.dimension)
     if len(pts) != 2:
         raise ValueError(f"need exactly two tagged points, got {len(pts)}")
-    g = coupling.estimate_g((pts[0], pts[1]), fam, args.horizon, args.samples, seed,
-                            threads=args.threads)
+    g = coupling.estimate_g((pts[0], pts[1]), fam, args.horizon, args.samples, seed)
     report = coupling.check_g_inequalities(g, validate_family(fam))
     return [{**g.to_dict(), "inequalities": report.to_dict()}], report.passed
 
@@ -268,7 +266,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time", type=float, default=1.0)
     p.add_argument("--horizon", type=float, default=100.0)
     p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None, help="record file (default stdout)")
     p.add_argument("--csv", default=None, help="trajectory/coupling CSV dump")
     p.add_argument("--sites", default=None, help="comma-separated sites, space-separated coords")

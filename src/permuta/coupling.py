@@ -28,9 +28,17 @@ from .permutation import (
     select_sigma_two_discrepancy,
     word_apply,
 )
-from .process import Configuration, Estimate, _compiled, permute_bits
+from .process import (
+    Configuration,
+    Estimate,
+    _compiled,
+    _site_clocks,
+    _SiteClocks,
+    _violation,
+    permute_bits,
+)
 from .rates import FamilyReport, RateFamily, check_range_closure, require_simulatable
-from .sampling import DrawBuffer, parallel_map, substream
+from .sampling import DrawBuffer, substream
 
 Word = Tuple[int, ...]
 
@@ -58,7 +66,7 @@ class TripleEvent:
     t: float
     process: str  # "shared", "I", "J", "E"
     covers: int  # bit 0: first point in range, bit 1: second
-    label: Optional[int]  # which point's clock fired (both-cover and I events)
+    label: int  # which point's clock rang (1 or 2)
     acted_on_E: Optional[bool]  # for both-cover arrivals presented to E
 
 
@@ -70,77 +78,30 @@ class TripleResult:
     counters: Dict[str, int]
 
 
-class _PairClocks:
-    """Expanded permutations covering either of two tagged points.
-
-    Entries are cached by the (wrapped) separation vector and stored relative
-    to the first point, so every revisited geometry reuses one build.
-    """
-
-    def __init__(self, fam: RateFamily):
-        self.lat = fam.lattice
-        self.base = fam.base
-        self._cache: dict = {}
-
-    def entries(self, p1: Site, p2: Site):
-        delta = self.lat.wrap(tuple(a - b for a, b in zip(p2, p1)))
-        hit = self._cache.get(delta)
-        if hit is None:
-            hit = self._build(delta)
-            self._cache[delta] = hit
-        return hit
-
-    def _build(self, delta: Site):
-        lat = self.lat
-        origin = tuple(0 for _ in range(lat.dimension))
-        entries: List[Tuple[int, Site, int, float]] = []
-        seen = set()
-        for p in (origin, delta):
-            for bidx, (perm, q) in enumerate(self.base):
-                for r in sorted(perm.range_sites):
-                    v = lat.wrap(tuple(a - b for a, b in zip(p, r)))
-                    key = (bidx, v)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    rng = {lat.shift(s, v) for s in perm.range_sites}
-                    covers = (origin in rng) | ((delta in rng) << 1)
-                    if covers:
-                        entries.append((bidx, v, covers, q))
-        cum_cov: List[float] = []
-        tot = 0.0
-        for _, _, covers, q in entries:
-            tot += q * (((covers & 1)) + (covers >> 1))
-            cum_cov.append(tot)
-        return entries, cum_cov, tot
-
-    def apply_point(self, bidx: int, v_abs: Site, x: Site) -> Site:
-        y = self.base[bidx][0](self.lat.wrap(tuple(a - b for a, b in zip(x, v_abs))))
-        return self.lat.shift(y, v_abs)
-
-
-def _next_arrival(clocks: _PairClocks, pair, t, T, buf):
-    """Next arrival of the pair's covering clocks after time t.
+def _next_arrival(clocks: _SiteClocks, pair, t, T, buf):
+    """Next ring of the two points' site clocks after time t (rate 2 M_PL).
 
     Returns (t, None) once the horizon T is passed, else (t, (bidx, v_abs,
-    covers)) for the expanded permutation that fired.  Draws one Exp(1) and,
-    before T, one uniform.
+    covers, label)): the expanded permutation proposed, the points its range
+    covers (bit 0: first, bit 1: second) and the point whose clock rang (1 or
+    2).  Both clocks propose a both-cover permutation, so it arrives at twice
+    its rate with a fair label.  Draws one Exp(1) and, before T, one uniform.
     """
-    entries, cum, total = clocks.entries(*pair)
-    t += buf.std_exponential() / total
+    t += buf.std_exponential() / (2 * clocks.M_PL)
     if t > T:
         return t, None
-    bidx, v, covers, _ = entries[bisect_right(cum, buf.uniform() * total)]
-    return t, (bidx, clocks.lat.shift(pair[0], v), covers)
+    i, bidx, v = clocks.ring(pair, buf.uniform())
+    covers = clocks.covers(bidx, v, pair[0]) | (clocks.covers(bidx, v, pair[1]) << 1)
+    return t, (bidx, v, covers, i + 1)
 
 
-def _move_one(clocks: _PairClocks, pair, bidx, v_abs, which: int):
+def _move_one(clocks: _SiteClocks, pair, bidx, v_abs, which: int):
     """Apply the fired permutation to point ``which`` (1 or 2) of the pair only."""
     moved = clocks.apply_point(bidx, v_abs, pair[which - 1])
     return (moved, pair[1]) if which == 1 else (pair[0], moved)
 
 
-def _shared_phase(clocks: _PairClocks, pair, t, T, buf, sink=None):
+def _shared_phase(clocks: _SiteClocks, pair, t, T, buf, sink=None):
     """Run the common pair until the first both-cover arrival or the horizon.
 
     Returns (t, pair, arrival) with arrival = (bidx, v_abs, label) of the
@@ -150,18 +111,18 @@ def _shared_phase(clocks: _PairClocks, pair, t, T, buf, sink=None):
         t, hit = _next_arrival(clocks, pair, t, T, buf)
         if hit is None:
             return t, pair, None
-        bidx, v_abs, covers = hit
+        bidx, v_abs, covers, label = hit
         if covers == 3:
-            label = 1 if buf.uniform() < 0.5 else 2
             return t, pair, (bidx, v_abs, label)
         # single-cover move keeps all three processes identical
-        pair = _move_one(clocks, pair, bidx, v_abs, covers)
+        pair = _move_one(clocks, pair, bidx, v_abs, label)
         if sink is not None:
-            sink(TripleEvent(t, "shared", covers, covers, None), pair)
+            sink(TripleEvent(t, "shared", covers, label, None), pair)
 
 
 def _evolve_E(clocks, pair, t, T, buf, stop_on_jump, sink=None):
-    """Pair process with fair thinning of both-cover arrivals (doubled clock).
+    """Pair process acting on both-cover arrivals of the first point's clock
+    only, i.e. at their rate q.
 
     Returns (t_first_jump or None, pair, arrivals, acted)."""
     arrivals = acted = 0
@@ -170,27 +131,28 @@ def _evolve_E(clocks, pair, t, T, buf, stop_on_jump, sink=None):
         t, hit = _next_arrival(clocks, pair, t, T, buf)
         if hit is None:
             return t_jump, pair, arrivals, acted
-        bidx, v_abs, covers = hit
+        bidx, v_abs, covers, label = hit
         if covers == 3:
             arrivals += 1
-            act = buf.uniform() < 0.5
+            act = label == 1
             if act:
                 acted += 1
                 pair = tuple(clocks.apply_point(bidx, v_abs, x) for x in pair)
                 if t_jump is None:
                     t_jump = t
             if sink is not None:
-                sink(TripleEvent(t, "E", covers, None, act), pair)
+                sink(TripleEvent(t, "E", covers, label, act), pair)
             if act and stop_on_jump:
                 return t_jump, pair, arrivals, acted
         else:
-            pair = _move_one(clocks, pair, bidx, v_abs, covers)
+            pair = _move_one(clocks, pair, bidx, v_abs, label)
             if sink is not None:
-                sink(TripleEvent(t, "E", covers, None, None), pair)
+                sink(TripleEvent(t, "E", covers, label, None), pair)
 
 
 def _evolve_I(clocks, pair, t, T, buf, stop_on_meet, sink=None):
-    """Two independent one-point walks driven by the per-point covering clocks.
+    """Two independent one-point walks: each arrival moves only the point
+    whose clock rang.
 
     Returns (t_first_meet or None, pair).  The walks keep moving after a
     meet; only the first meet time is reported."""
@@ -201,11 +163,7 @@ def _evolve_I(clocks, pair, t, T, buf, stop_on_meet, sink=None):
         t, hit = _next_arrival(clocks, pair, t, T, buf)
         if hit is None:
             return t_meet, pair
-        bidx, v_abs, covers = hit
-        if covers == 3:
-            label = 1 if buf.uniform() < 0.5 else 2
-        else:
-            label = covers
+        bidx, v_abs, covers, label = hit
         pair = _move_one(clocks, pair, bidx, v_abs, label)
         if sink is not None:
             sink(TripleEvent(t, "I", covers, label, None), pair)
@@ -224,12 +182,12 @@ def _evolve_J(clocks, pair, t, T, buf, sink=None):
         t, hit = _next_arrival(clocks, pair, t, T, buf)
         if hit is None:
             return t_jump, pair
-        bidx, v_abs, covers = hit
+        bidx, v_abs, covers, label = hit
         pair = tuple(clocks.apply_point(bidx, v_abs, x) for x in pair)
         if covers == 3 and t_jump is None:
             t_jump = t
         if sink is not None:
-            sink(TripleEvent(t, "J", covers, None, None), pair)
+            sink(TripleEvent(t, "J", covers, label, None), pair)
 
 
 def run_triple(
@@ -245,7 +203,7 @@ def run_triple(
     p1, p2 = lat.wrap(x[0]), lat.wrap(x[1])
     if p1 == p2:
         raise ValueError("the two tagged points must differ")
-    clocks = _PairClocks(fam)
+    clocks = _site_clocks(fam)
     buf = DrawBuffer(substream(seed))
     events: List[TripleEvent] = []
     history: List[TripleState] = []
@@ -336,7 +294,7 @@ class GEstimates:
         }
 
 
-def _g_one_run(clocks: _PairClocks, x, T: float, gen) -> Tuple[int, int, int, int, int]:
+def _g_one_run(clocks: _SiteClocks, x, T: float, gen) -> Tuple[int, int, int, int, int]:
     buf = DrawBuffer(gen, block=1024)
     t, pair, arrival = _shared_phase(clocks, x, 0.0, T, buf)
     if arrival is None:
@@ -364,7 +322,6 @@ def estimate_g(
     T: float,
     n: int,
     seed: int,
-    threads: int = 1,
 ) -> GEstimates:
     """Monte Carlo g2, gbar2, gbarbar2 over n runs of the triple construction."""
     require_simulatable(fam)
@@ -372,8 +329,8 @@ def estimate_g(
     p = (lat.wrap(x[0]), lat.wrap(x[1]))
     if p[0] == p[1]:
         raise ValueError("the two tagged points must differ")
-    clocks = _PairClocks(fam)
-    runs = parallel_map(lambda i: _g_one_run(clocks, p, T, substream(seed, i)), range(n), threads)
+    clocks = _site_clocks(fam)
+    runs = [_g_one_run(clocks, p, T, substream(seed, i)) for i in range(n)]
     ci = ce = cj = arrivals = acted = 0
     e_wo_j = i_wo_j = i_wo_e = 0
     for hit_i, hit_e, hit_j, arr, act in runs:
@@ -832,11 +789,11 @@ def run_recurrent_coupling(
         D_after = dp.bit_count() + dm.bit_count()
         counters["events"] += 1
         if D_after not in (0, 2) or D_after > D_before or dp.bit_count() != dm.bit_count():
-            raise PropertyViolation(
-                f"discrepancy count went {D_before} -> {D_after} (must stay in {{0,2}}, non-increasing)"
-            )
+            raise _violation(
+                f"discrepancy count went {D_before} -> {D_after} (must stay in {{0,2}}, non-increasing)",
+                fam, seed, t, counters["events"])
         if coupled and D_after != 0:
-            raise PropertyViolation("coupled copies separated")
+            raise _violation("coupled copies separated", fam, seed, t, counters["events"])
         if D_after == 0 and not coupled:
             coupled, T_couple = True, t
         if record_history:
@@ -945,7 +902,8 @@ def run_general_coupling(
                 counters["block_diag"] += 1
                 D_after = (Aw ^ Bw).bit_count()
                 if D_after > D_before:
-                    raise PropertyViolation("diagonal move increased the discrepancy count")
+                    raise _violation("diagonal move increased the discrepancy count",
+                                     fam, seed, t, counters["events"])
                 if record_history:
                     history.append(CouplingEvent(t, "diagonal", info.rid, D_before, D_after))
                 continue
@@ -974,11 +932,13 @@ def run_general_coupling(
         else:
             counters["block_diag"] += 1
         if D_after > D_before:
-            raise PropertyViolation(f"discrepancy count increased {D_before} -> {D_after}")
+            raise _violation(f"discrepancy count increased {D_before} -> {D_after}",
+                             fam, seed, t, counters["events"])
         if dp_r_after > dp_r_before and dm_r_after > dm_r_before:
-            raise PropertyViolation("both discrepancy types increased on the fired range")
+            raise _violation("both discrepancy types increased on the fired range",
+                             fam, seed, t, counters["events"])
         if dominance and dm_after:
-            raise PropertyViolation("initial dominance A >= B was lost")
+            raise _violation("initial dominance A >= B was lost", fam, seed, t, counters["events"])
         if D_after == 0 and not coupled:
             coupled, T_couple = True, t
         if record_history:

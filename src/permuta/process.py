@@ -2,9 +2,12 @@
 
 Torus configurations are bit-packed integers in the canonical site order.
 run_config / run_finite are literal exponential-clock simulations returning
-replayable trajectories; duality_mc additionally has a vectorized terminal
-sampler with the identical event law (state-independent total rate, null
-selections included) for large replica counts.
+replayable trajectories.  Sparse states (the dual set, the two tagged points
+of the couplings) draw their next event from one per-site clock kernel,
+``_SiteClocks``: every tracked site rings at the per-site total rate M_PL.
+duality_mc additionally has a vectorized terminal sampler with the identical
+event law (state-independent total rate, null selections included) for large
+replica counts.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import numpy as np
 
 from .errors import NotSymmetric, PropertyViolation
 from .lattice import Lattice, Site
-from .rates import RateFamily, check_symmetry, require_simulatable
-from .sampling import AliasTable, parallel_map, substream
+from .rates import RateFamily, check_symmetry, family_hash, require_simulatable
+from .sampling import AliasTable, DrawBuffer, substream
 
 _TABLE_SITE_CAP = 16  # word lookup tables only below this many sites
 
@@ -171,6 +174,63 @@ def _compiled(fam: RateFamily) -> _Compiled:
 
 
 # ---------------------------------------------------------------------------
+# per-site clocks for sparse states (Harris's graphical construction)
+
+class _SiteClocks:
+    """One Poisson clock per anchor (b, r) at every site: base permutation b,
+    site r of its range, rate q_b.
+
+    The clock (b, r) of site x proposes b shifted by v = x - r, whose range
+    holds x.  The clocks of one site add up to M_PL, and each expanded
+    permutation is proposed once by every site of its range.  Base
+    permutations are kept wrapped, so the same code runs on tori and on Z^d.
+    """
+
+    def __init__(self, fam: RateFamily):
+        lat = fam.lattice
+        origin = (0,) * lat.dimension
+        self.lat = lat
+        self.base = [perm.shifted(origin, lat) for perm, _ in fam.base]
+        self.ranges = [tuple(sorted(perm.range_sites)) for perm in self.base]
+        self.anchors, weights = [], []
+        for b, (_, q) in enumerate(fam.base):
+            for r in self.ranges[b]:
+                self.anchors.append((b, r))
+                weights.append(q)
+        self.alias = AliasTable(weights)
+        self.M_PL = self.alias.total
+
+    def ring(self, sites: Sequence[Site], u: float) -> Tuple[int, int, Site]:
+        """The next clock to ring among the clocks of ``sites``, from one
+        uniform: (slot i of its site, base b, shift v of the proposal)."""
+        scaled = u * len(sites)
+        i = int(scaled)
+        b, r = self.anchors[self.alias.draw_u(scaled - i)]
+        return i, b, self.lat.wrap(tuple(a - c for a, c in zip(sites[i], r)))
+
+    def covers(self, b: int, v: Site, x: Site) -> bool:
+        """Whether base b shifted by v has x in its range."""
+        return self.lat.wrap(tuple(a - c for a, c in zip(x, v))) in self.ranges[b]
+
+    def apply_point(self, b: int, v: Site, x: Site) -> Site:
+        """Image of site x under base b shifted by v."""
+        y = self.base[b](self.lat.wrap(tuple(a - c for a, c in zip(x, v))))
+        return self.lat.shift(y, v)
+
+
+@lru_cache(maxsize=32)
+def _site_clocks(fam: RateFamily) -> _SiteClocks:
+    return _SiteClocks(fam)
+
+
+def _violation(what: str, fam: RateFamily, seed: int, t: float, event: int) -> PropertyViolation:
+    """An invariant failure carrying what a replay needs; ``event`` is the
+    1-based number of the event that broke it."""
+    return PropertyViolation(
+        f"{what} (family {family_hash(fam)[:12]}, seed={seed}, t={t!r}, event={event})")
+
+
+# ---------------------------------------------------------------------------
 # sampling and the two literal engines
 
 def sample_product(rho: float, lat: Lattice, seed: int) -> Configuration:
@@ -198,36 +258,21 @@ def run_config(
     if not fam.lattice.is_torus or eta0.lattice != fam.lattice:
         raise ValueError("run_config needs a torus configuration on the family's lattice")
     comp = _compiled(fam)
-    gen = substream(seed)
+    buf = DrawBuffer(substream(seed), block=1024)
     word, t, events, n = eta0.word, 0.0, [], 0
     count0 = eta0.particle_count
     while True:
-        t += gen.exponential(1.0 / comp.Q_tot)
+        t += buf.std_exponential() / comp.Q_tot
         if t > T:
             break
-        e = comp.alias.draw(gen)
+        e = comp.alias.draw_u(buf.uniform())
         word = permute_bits(comp.pairs[e], comp.masks[e], word)
         n += 1
         if word.bit_count() != count0:
-            raise PropertyViolation("particle count changed")  # bijections cannot do this
+            raise _violation("particle count changed", fam, seed, t, n)  # bijections cannot do this
         if record_events:
             events.append((t, comp.base_idx[e], comp.shifts[e]))
     return Trajectory(seed, T, tuple(events), Configuration(fam.lattice, word), n)
-
-
-def _finite_candidates(fam: RateFamily, support: frozenset):
-    """Deterministically ordered (base_idx, shift) pairs whose range meets the support."""
-    lat = fam.lattice
-    out, seen = [], set()
-    for x in sorted(support):
-        for b, (perm, q) in enumerate(fam.base):
-            for r in sorted(perm.range_sites):
-                v = lat.wrap(tuple(a - c for a, c in zip(x, r)))
-                key = (b, v)
-                if key not in seen:
-                    seen.add(key)
-                    out.append((b, v, q))
-    return out
 
 
 def run_finite(
@@ -237,44 +282,46 @@ def run_finite(
     seed: int,
     record_events: bool = True,
 ) -> Trajectory:
-    """Support-thinned simulation of the set-valued process; torus or unbounded."""
+    """Per-site clock simulation of the set-valued process; torus or unbounded.
+
+    The tracked sites ring at the constant total rate |A| M_PL.  A proposal
+    fires only when the site that rang holds the lowest slot among the
+    tracked sites in its range, so every expanded permutation meeting the set
+    fires at exactly its rate q.  Only the covered sites move.
+    """
     require_simulatable(fam)
     if A0.lattice != fam.lattice:
         raise ValueError("initial state lattice differs from the family lattice")
     lat = fam.lattice
-    gen = substream(seed)
-    support = frozenset(A0.sites)
-    size0 = len(support)
+    clocks = _site_clocks(fam)
+    buf = DrawBuffer(substream(seed), block=1024)
+    slots = sorted(A0.sites)
+    slot_of = {x: i for i, x in enumerate(slots)}
+    rate = len(slots) * clocks.M_PL
     t, events, n = 0.0, [], 0
-    base_perms = [perm for perm, _ in fam.base]
-    while support:
-        cands = _finite_candidates(fam, support)
-        total = sum(q for _, _, q in cands)
-        t += gen.exponential(1.0 / total)
+    while slots:
+        t += buf.std_exponential() / rate
         if t > T:
             break
-        u = gen.random() * total
-        acc = 0.0
-        chosen = cands[-1]
-        for cand in cands:
-            acc += cand[2]
-            if u < acc:
-                chosen = cand
-                break
-        b, v, _ = chosen
-        perm = base_perms[b]
-        # sigma = shift of base perm by v; move every covered support site
-        new_support = set()
-        for y in support:
-            y0 = lat.wrap(tuple(a - c for a, c in zip(y, v)))
-            new_support.add(lat.shift(perm(y0), v))
-        support = frozenset(new_support)
+        i, b, v = clocks.ring(slots, buf.uniform())
+        covered = []
+        for r in clocks.ranges[b]:
+            j = slot_of.get(lat.shift(r, v))
+            if j is not None:
+                covered.append(j)
+        if min(covered) != i:
+            continue  # a lower slot in the range proposes this permutation
+        for j in covered:
+            del slot_of[slots[j]]
+        for j in covered:
+            slots[j] = clocks.apply_point(b, v, slots[j])
+            slot_of[slots[j]] = j
         n += 1
-        if len(support) != size0:
-            raise PropertyViolation("dual support size changed")
+        if len(slot_of) != len(slots):
+            raise _violation("dual support size changed", fam, seed, t, n)
         if record_events:
             events.append((t, b, v))
-    return Trajectory(seed, T, tuple(events), DualState(lat, support), n)
+    return Trajectory(seed, T, tuple(events), DualState(lat, frozenset(slots)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +355,6 @@ def duality_mc(
     n: int,
     seed: int,
     engine: str = "vector",
-    threads: int = 1,
 ) -> Tuple[Estimate, Estimate]:
     """Monte Carlo estimates of both sides of the self-duality identity.
 
@@ -356,8 +402,8 @@ def duality_mc(
         traj = run_finite(dual, fam, t, seed + 2 * i + 2, record_events=False)
         return int(all(eta0.occupied(x) for x in traj.terminal.sites))
 
-    lhs_hits = sum(parallel_map(one_lhs, range(n), threads))
-    rhs_hits = sum(parallel_map(one_rhs, range(n), threads))
+    lhs_hits = sum(map(one_lhs, range(n)))
+    rhs_hits = sum(map(one_rhs, range(n)))
     return Estimate.from_bernoulli(lhs_hits, n), Estimate.from_bernoulli(rhs_hits, n)
 
 

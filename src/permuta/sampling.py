@@ -1,14 +1,14 @@
 """RNG plumbing shared by the simulation engines.
 
 Counter-based Philox streams keyed by (seed, replica) give bit-exact
-reproducibility independent of thread count; replica results are always
-merged in replica order.
+reproducibility.  Scalar engines read their uniforms and Exp(1) variates
+from a ``DrawBuffer`` and pick discrete outcomes with ``AliasTable.draw_u``;
+the vectorized sampler uses ``AliasTable.draw_many``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,10 +42,6 @@ class AliasTable:
         self.prob = prob
         self.alias = alias
         self.n = n
-
-    def draw(self, gen: np.random.Generator) -> int:
-        i = int(gen.integers(self.n))
-        return i if gen.random() < self.prob[i] else int(self.alias[i])
 
     def draw_many(self, gen: np.random.Generator, size: int) -> np.ndarray:
         i = gen.integers(self.n, size=size)
@@ -90,11 +86,3 @@ class DrawBuffer:
         self._ie += 1
         return float(v)
 
-
-def parallel_map(fn: Callable, items: Iterable, threads: int = 1) -> list:
-    """Map preserving input order; results identical for any thread count."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

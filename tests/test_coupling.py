@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 
 import permuta as P
+from permuta.coupling import _next_arrival
+from permuta.process import _site_clocks
+from permuta.sampling import DrawBuffer, substream
 from conftest import (
     axis_three_cycles_3d,
     discrepancy_pair,
@@ -187,18 +190,23 @@ def test_marginal_sums_two_site_range():
 
 def test_run_triple_shared_until_decoupling():
     fam = three_cycles()
-    res = P.run_triple(((0,), (2,)), fam, 3.0, 5)
-    dec_seen = False
-    for state in res.history:
-        if not state.decoupled:
-            assert state.I == state.J == state.E
-            assert not dec_seen
-        else:
-            dec_seen = True
-            assert state.T_dec is not None
-    for ev in res.events:
-        assert ev.covers in (1, 2, 3)
-        assert ev.label in (1, 2)
+    decoupled_runs = 0
+    for seed in range(50):
+        res = P.run_triple(((0,), (2,)), fam, 3.0, seed)
+        dec_seen = False
+        for state in res.history:
+            if not state.decoupled:
+                assert state.I == state.J == state.E
+                assert not dec_seen
+            else:
+                dec_seen = True
+                assert state.T_dec is not None
+        decoupled_runs += int(dec_seen)
+        for ev in res.events:
+            assert ev.covers in (1, 2, 3)
+            assert ev.label in (1, 2)
+    # E, I and J events only exist after decoupling, so their labels are checked
+    assert decoupled_runs > 0
 
 
 def test_run_triple_deterministic():
@@ -233,6 +241,51 @@ def test_far_pair_sees_two_independent_clocks():
     assert abs(mean - 1 / 12) < 4 * se
 
 
+def _pair_reference(fam, p1, p2):
+    """Law of the pair clocks' next arrival: every expanded permutation
+    covering p1 or p2, weighted q * |R & {p1, p2}|, keyed (bidx, v, covers)."""
+    lat = fam.lattice
+    weights = {}
+    for p in (p1, p2):
+        for b, (perm, q) in enumerate(fam.base):
+            for r in perm.range_sites:
+                v = lat.wrap(tuple(a - c for a, c in zip(p, r)))
+                rng = {lat.shift(s, v) for s in perm.range_sites}
+                weights[(b, v, (p1 in rng) | ((p2 in rng) << 1))] = q * ((p1 in rng) + (p2 in rng))
+    return weights
+
+
+@pytest.mark.parametrize("fam, p2", [
+    (three_cycles(), (1,)), (three_cycles(), (2,)), (three_cycles(), (5,)),
+    (three_cycles(8), (7,)), (axis_three_cycles_3d(), (1, 0, 0)),
+])
+def test_next_arrival_first_arrival_law(fam, p2):
+    p1 = (0,) * fam.dimension
+    ref = _pair_reference(fam, p1, p2)
+    total = sum(ref.values())
+    assert total == 2 * P.compute_M_PL(fam)
+    clocks = _site_clocks(fam)
+    buf = DrawBuffer(substream(61))
+    n = 20000
+    hits = {key: 0 for key in ref}
+    both = label1 = 0
+    t_sum = 0.0
+    for _ in range(n):
+        t, (bidx, v, covers, label) = _next_arrival(clocks, (p1, p2), 0.0, math.inf, buf)
+        hits[(bidx, v, covers)] += 1
+        t_sum += t
+        assert covers >> (label - 1) & 1  # the clock that rang is covered
+        if covers == 3:
+            both += 1
+            label1 += int(label == 1)
+    for key, w in ref.items():
+        p = w / total
+        assert abs(hits[key] / n - p) < 4 * math.sqrt(p * (1 - p) / n), key
+    assert abs(t_sum / n - 1 / total) < 4 * (1 / total) / math.sqrt(n)
+    if both:
+        assert abs(label1 / both - 0.5) < 4 * math.sqrt(0.25 / both)
+
+
 def test_triple_state_guards_mismatch():
     with pytest.raises(P.PropertyViolation):
         P.TripleState(
@@ -262,8 +315,8 @@ def test_estimate_g_orderings_and_counters():
 
 def test_estimate_g_threads_deterministic():
     fam = three_cycles()
-    g1 = P.estimate_g(((0,), (2,)), fam, 20.0, 400, 7, threads=1)
-    g2 = P.estimate_g(((0,), (2,)), fam, 20.0, 400, 7, threads=4)
+    g1 = P.estimate_g(((0,), (2,)), fam, 20.0, 400, 7)
+    g2 = P.estimate_g(((0,), (2,)), fam, 20.0, 400, 7)
     assert g1.to_dict() == g2.to_dict()
 
 

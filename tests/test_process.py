@@ -6,6 +6,7 @@ import pytest
 
 import permuta as P
 from conftest import three_cycles
+from permuta import process
 from permuta.process import _compiled, permute_bits
 
 
@@ -142,6 +143,54 @@ def test_run_finite_on_unbounded_lattice():
     A0 = P.DualState.of(fam.lattice, [(0,), (1,)])
     traj = P.run_finite(A0, fam, 3.0, 2)
     assert len(traj.terminal.sites) == 2
+
+
+@pytest.mark.parametrize("dims, A, T", [((8,), [(0,), (1,), (4,)], 2.0), ((), [(0,), (1,)], 3.0)])
+def test_run_finite_first_event_law(dims, A, T):
+    """First fired event: (b, v) with law q_b / sum q over the expanded
+    permutations whose range meets A, at the mean time 1 / sum q."""
+    fam = three_cycles(*dims)
+    lat = fam.lattice
+    shifts = lat.sites() if lat.is_torus else [(v,) for v in range(-6, 8)]
+    meets = {}
+    for v in shifts:
+        for b, (perm, q) in enumerate(fam.base):
+            if perm.shifted(v, lat).range_sites & set(A):
+                meets[(b, v)] = q
+    total = sum(meets.values())
+    n = 4000
+    hits = {key: 0 for key in meets}
+    t_sum = 0.0
+    A0 = P.DualState.of(lat, A)
+    for s in range(n):
+        t, b, v = P.run_finite(A0, fam, T, 700 + s).events[0]
+        hits[(b, v)] += 1  # a KeyError means a permutation missing A fired
+        t_sum += t
+    for key, q in meets.items():
+        p = q / total
+        assert abs(hits[key] / n - p) < 4 * math.sqrt(p * (1 - p) / n), key
+    assert abs(t_sum / n - 1 / total) < 4 * (1 / total) / math.sqrt(n)
+
+
+def test_event_duality_matches_exact(fam8):
+    eta0 = P.Configuration(fam8.lattice, 0b00101101)
+    A = [(0,), (1,), (3,)]
+    lhs, rhs = P.duality_exact(fam8, eta0, A, 1.0)
+    est_l, est_r = P.duality_mc(eta0, A, fam8, 1.0, 4000, 44, engine="event")
+    assert abs(est_l.mean - lhs) <= 3 * est_l.std_error
+    assert abs(est_r.mean - rhs) <= 3 * est_r.std_error
+
+
+def test_violation_carries_replay_context(monkeypatch, fam8):
+    def leaky(pairs, mask, words):
+        return permute_bits(pairs, mask, words) & ~1  # loses the particle at site 0
+
+    monkeypatch.setattr(process, "permute_bits", leaky)
+    with pytest.raises(P.PropertyViolation) as exc:
+        P.run_config(P.Configuration.full(fam8.lattice), fam8, 5.0, 17)
+    msg = str(exc.value)
+    assert "seed=17" in msg and "event=1" in msg
+    assert P.family_hash(fam8)[:12] in msg
 
 
 def test_duality_mc_product_initial(fam8):
