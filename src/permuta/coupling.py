@@ -1,12 +1,17 @@
 """Coupled constructions for pairs of processes.
 
-Three engines live here: the I/J/E triple over two tagged points with the
-g-function estimators, the two-discrepancy coupling driven by per-range
-transition tables, and the discrepancy-monotone general coupling.  The
-tables are built by pure word-level functions so tests can sum their rates
-symbolically; exhaustive small-range checks of the two combinatorial facts
-the tables rely on (cyclic covers exist, discrepancies never increase) are
-at the bottom.
+Two constructions live here: the I/J/E triple over two tagged points with
+the g-function estimators, and one coupled event loop (``_couple``) for
+two configurations.  Both copies fire the same permutation except on ranges
+holding a block, where a per-range table fires instead.  Two block rules
+share the loop: the two-discrepancy coupling (``run_recurrent_coupling``)
+puts a merging table on ranges holding every discrepancy, the
+discrepancy-monotone general coupling (``run_general_coupling``) puts a
+staircase table on ranges holding any.  Tables are compiled once per
+family and rule.  They are built by pure word-level functions so tests can
+sum their rates symbolically; exhaustive small-range checks of the two
+combinatorial facts the tables rely on (cyclic covers exist, discrepancies
+never increase) are at the bottom.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import BadInitial, NoCover, NotRangeClosed, PropertyViolation
@@ -37,7 +43,7 @@ from .process import (
     _violation,
     permute_bits,
 )
-from .rates import FamilyReport, RateFamily, check_range_closure, require_simulatable
+from .rates import FamilyReport, RateFamily, check_range_closure, family_hash, require_simulatable
 from .sampling import DrawBuffer, substream
 
 Word = Tuple[int, ...]
@@ -190,6 +196,16 @@ def _evolve_J(clocks, pair, t, T, buf, sink=None):
             sink(TripleEvent(t, "J", covers, label, None), pair)
 
 
+def _decouple(clocks: _SiteClocks, pair, arrival):
+    """(I, J, E pairs, whether E acted) right after the decoupling arrival: J
+    moves both points, E moves both only when the first point's clock rang,
+    I moves only the point whose clock rang."""
+    bidx, v_abs, label = arrival
+    j_pair = tuple(clocks.apply_point(bidx, v_abs, p) for p in pair)
+    e_acted = label == 1
+    return _move_one(clocks, pair, bidx, v_abs, label), j_pair, j_pair if e_acted else pair, e_acted
+
+
 def run_triple(
     x: Tuple[Site, Site],
     fam: RateFamily,
@@ -221,17 +237,13 @@ def run_triple(
         final = TripleState(pair, pair, pair, False, None)
         return TripleResult(tuple(history), tuple(events), final, counters)
 
-    bidx, v_abs, label = arrival
-    j_pair = tuple(clocks.apply_point(bidx, v_abs, p) for p in pair)
-    e_acted = label == 1
-    e_pair = j_pair if e_acted else pair
-    i_pair = _move_one(clocks, pair, bidx, v_abs, label)
+    i_pair, j_pair, e_pair, e_acted = _decouple(clocks, pair, arrival)
     counters["both_cover_arrivals"] += 1
     counters["e_acted"] += int(e_acted)
     counters["j_jumped"] = 1
     counters["e_jumped"] = int(e_acted)
     counters["i_met"] = int(i_pair[0] == i_pair[1])
-    events.append(TripleEvent(T_dec, "shared", 3, label, e_acted))
+    events.append(TripleEvent(T_dec, "shared", 3, arrival[2], e_acted))
     if record_history:
         history.append(TripleState(i_pair, j_pair, e_pair, True, T_dec))
 
@@ -299,14 +311,13 @@ def _g_one_run(clocks: _SiteClocks, x, T: float, gen) -> Tuple[int, int, int, in
     t, pair, arrival = _shared_phase(clocks, x, 0.0, T, buf)
     if arrival is None:
         return 0, 0, 0, 0, 0
-    bidx, v_abs, label = arrival
+    i_pair, _, e_pair, e_acted = _decouple(clocks, pair, arrival)
     hit_j = 1
-    arrivals, acted = 1, int(label == 1)
-    hit_e = int(label == 1)
-    i_pair = _move_one(clocks, pair, bidx, v_abs, label)
+    arrivals, acted = 1, int(e_acted)
+    hit_e = int(e_acted)
     hit_i = int(i_pair[0] == i_pair[1])
     if not hit_e:
-        t_jump, _, arr2, act2 = _evolve_E(clocks, pair, t, T, buf, stop_on_jump=True)
+        t_jump, _, arr2, act2 = _evolve_E(clocks, e_pair, t, T, buf, stop_on_jump=True)
         hit_e = int(t_jump is not None)
         arrivals += arr2
         acted += act2
@@ -441,6 +452,19 @@ def _map_or_none(p: FinitePermutation) -> Optional[FinitePermutation]:
     return None if p.is_identity() else p
 
 
+def _diag_rows(members, R_order, a, b, sigma, m) -> List[TableRow]:
+    """Diagonal rows after a staircase at rate m: each power sigma^i (0 < i < r)
+    at its residual rate q - m, every other member at its full rate q."""
+    powers = [power(sigma, i) for i in range(1, len(R_order))]
+    missing = [p for p in powers if p not in members]
+    if missing:
+        raise NotRangeClosed(f"missing power {missing[0]} of the selected cycle on {list(R_order)}")
+    rates = [(p, members[p] - m) for p in powers if members[p] > m]
+    rates += [(p, q) for p, q in members.items() if p not in powers]
+    return [TableRow(q, "diag", None, word_apply(p, R_order, a), word_apply(p, R_order, b), p, p)
+            for p, q in rates]
+
+
 def recurrent_block_rows(
     members: Mapping[FinitePermutation, Any],
     R_order: Sequence[Site],
@@ -465,20 +489,7 @@ def recurrent_block_rows(
         w = word_apply(power(sigma, i), R_order, b)
         rows.append(TableRow(m, "merge", i, w, w, power(sigma, i + 1), power(sigma, i)))
     rows.append(TableRow(m, "swap", r - 1, b, a, sigma, power(sigma, r - 1)))
-    powers = {power(sigma, i) for i in range(1, r)}
-    for i in range(1, r):
-        p = power(sigma, i)
-        if p not in members:
-            raise NotRangeClosed(f"missing power {p} of the selected cycle on {list(R_order)}")
-        resid = members[p] - m
-        if resid > 0:
-            rows.append(TableRow(resid, "diag", None,
-                                 word_apply(p, R_order, a), word_apply(p, R_order, b), p, p))
-    for p, q in members.items():
-        if p not in powers:
-            rows.append(TableRow(q, "diag", None,
-                                 word_apply(p, R_order, a), word_apply(p, R_order, b), p, p))
-    return rows
+    return rows + _diag_rows(members, R_order, a, b, sigma, m)
 
 
 def general_block_rows(
@@ -509,12 +520,6 @@ def general_block_rows(
         if strict:
             raise PropertyViolation("no cyclic cover on a strictly closed range")
         return None
-    powers = {power(sigma, i) for i in range(1, r)}
-    if not powers <= set(members):
-        if strict:
-            missing = next(p for p in powers if p not in members)
-            raise NotRangeClosed(f"missing power {missing} of the selected cycle on {list(R_order)}")
-        return None
     m = min(members.values())
     rows: List[TableRow] = []
     for i in range(r):
@@ -525,17 +530,12 @@ def general_block_rows(
         rows.append(TableRow(m, "stair", i,
                              word_apply(pa, R_order, a), word_apply(pb, R_order, b),
                              _map_or_none(pa), _map_or_none(pb)))
-    for i in range(1, r):
-        p = power(sigma, i)
-        resid = members[p] - m
-        if resid > 0:
-            rows.append(TableRow(resid, "diag", None,
-                                 word_apply(p, R_order, a), word_apply(p, R_order, b), p, p))
-    for p, q in members.items():
-        if p not in powers:
-            rows.append(TableRow(q, "diag", None,
-                                 word_apply(p, R_order, a), word_apply(p, R_order, b), p, p))
-    return rows
+    try:
+        return rows + _diag_rows(members, R_order, a, b, sigma, m)
+    except NotRangeClosed:
+        if strict:
+            raise
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -589,17 +589,16 @@ class CouplingResult:
 
 
 class _RangeInfo:
-    __slots__ = ("rid", "mask", "order", "positions", "members", "m", "Z", "size")
+    __slots__ = ("rid", "mask", "order", "positions", "members", "eids", "Z")
 
-    def __init__(self, rid, mask, order, positions, members, m, Z):
+    def __init__(self, rid, mask, order, positions, members, eids):
         self.rid = rid
         self.mask = mask
         self.order = order
         self.positions = positions
-        self.members = members  # perm -> (rate, expanded id)
-        self.m = m
-        self.Z = Z
-        self.size = len(order)
+        self.members = members  # perm -> rate
+        self.eids = eids  # perm -> expanded id
+        self.Z = sum(members.values())
 
 
 class _CompiledBlock:
@@ -616,29 +615,6 @@ class _CompiledBlock:
 _DEGRADED = _CompiledBlock((), (), 0.0, None, 0.0)
 
 
-def _range_index(fam: RateFamily):
-    comp = _compiled(fam)
-    lat = fam.lattice
-    by_range: dict = {}
-    for e, perm in enumerate(comp.perms):
-        by_range.setdefault(perm.range_sites, []).append(e)
-    infos = []
-    range_of_eid = [0] * len(comp.perms)
-    for rid, (R, eids) in enumerate(sorted(by_range.items(), key=lambda kv: sorted(kv[0]))):
-        order = tuple(canonical_range_order(R, lat))
-        positions = tuple(lat.index(s) for s in order)
-        mask = 0
-        for p in positions:
-            mask |= 1 << p
-        members = {comp.perms[e]: (float(comp.rates[e]), e) for e in eids}
-        rates = [q for q, _ in members.values()]
-        info = _RangeInfo(rid, mask, order, positions, members, min(rates), sum(rates))
-        infos.append(info)
-        for e in eids:
-            range_of_eid[e] = rid
-    return comp, infos, range_of_eid
-
-
 def _pack(word: Word, positions) -> int:
     """Set bits of a restricted word at its absolute bit positions."""
     bits = 0
@@ -653,16 +629,16 @@ def _extract(word: int, positions) -> Word:
 
 
 def _compile_block(rows, info: _RangeInfo) -> _CompiledBlock:
+    """Rows as (A bits, B bits, kind, event label, expanded id applied to A);
+    the A-held row, if any, becomes the block's extra row."""
     if rows is None:
         return _DEGRADED
     alias_rows, cum, extra = [], [], None
     acc = 0.0
     for row in rows:
-        bits_a = _pack(row.a_word, info.positions)
-        bits_b = _pack(row.b_word, info.positions)
-        eid_a = info.members[row.a_map][1] if row.a_map is not None else None
-        eid_b = info.members[row.b_map][1] if row.b_map is not None else None
-        compiled = (bits_a, bits_b, row.kind, row.index, eid_a, eid_b)
+        label = f"staircase-{row.index}" if row.kind != "diag" else "diagonal"
+        compiled = (_pack(row.a_word, info.positions), _pack(row.b_word, info.positions),
+                    row.kind, label, info.eids[row.a_map] if row.a_map is not None else None)
         if row.a_map is None:
             if extra is not None:
                 raise PropertyViolation("more than one held-side row in a block")
@@ -677,10 +653,184 @@ def _compile_block(rows, info: _RangeInfo) -> _CompiledBlock:
                           extra[0] if extra else None, extra[1] if extra else 0.0)
 
 
-def _event_kind(kind: str, index: Optional[int]) -> str:
-    if kind in ("merge", "swap", "stair"):
-        return f"staircase-{index}"
-    return "diagonal"
+class _Tables:
+    """One block rule on one family: the range index and the block tables,
+    compiled on first use and keyed by (range id, A & mask, B & mask).
+
+    ``rule`` is "recurrent" (two-discrepancy rows on ranges holding every
+    discrepancy), or "strict" / "relaxed" (general rows on ranges holding any
+    discrepancy).
+    """
+
+    def __init__(self, fam: RateFamily, rule: str):
+        comp = _compiled(fam)
+        lat = fam.lattice
+        self.fam, self.comp, self.rule = fam, comp, rule
+        self.every = rule == "recurrent"  # a block needs every discrepancy, not any
+        by_range: dict = {}
+        for e, perm in enumerate(comp.perms):
+            by_range.setdefault(perm.range_sites, []).append(e)
+        self.ranges: List[_RangeInfo] = []
+        self.range_of_eid = [0] * len(comp.perms)
+        self.ranges_at: List[List[_RangeInfo]] = [[] for _ in range(lat.n_sites)]  # by bit
+        for rid, (R, eids) in enumerate(sorted(by_range.items(), key=lambda kv: sorted(kv[0]))):
+            order = tuple(canonical_range_order(R, lat))
+            positions = tuple(lat.index(s) for s in order)
+            mask = sum(1 << p for p in positions)
+            info = _RangeInfo(rid, mask, order, positions,
+                              {comp.perms[e]: float(comp.rates[e]) for e in eids},
+                              {comp.perms[e]: e for e in eids})
+            self.ranges.append(info)
+            for e in eids:
+                self.range_of_eid[e] = rid
+            for p in positions:
+                self.ranges_at[p].append(info)
+        self._blocks: Dict[Tuple[int, int, int], _CompiledBlock] = {}
+
+    def block(self, info: _RangeInfo, Aw: int, Bw: int) -> _CompiledBlock:
+        key = (info.rid, Aw & info.mask, Bw & info.mask)
+        blk = self._blocks.get(key)
+        if blk is None:
+            blk = self._blocks[key] = self._compile(
+                info, _extract(Aw, info.positions), _extract(Bw, info.positions))
+        return blk
+
+    def _compile(self, info: _RangeInfo, a: Word, b: Word) -> _CompiledBlock:
+        lat = self.fam.lattice
+        try:
+            if self.rule == "recurrent":
+                rows = recurrent_block_rows(info.members, info.order, a, b, lat)
+            else:
+                rows = general_block_rows(info.members, info.order, a, b, lat,
+                                          strict=self.rule == "strict")
+            return _compile_block(rows, info)
+        except PropertyViolation as exc:
+            raise PropertyViolation(
+                f"{exc} (family {family_hash(self.fam)[:12]}, range {list(info.order)}, "
+                f"a={a}, b={b})") from exc
+
+
+@lru_cache(maxsize=32)
+def _tables(fam: RateFamily, rule: str) -> _Tables:
+    return _Tables(fam, rule)
+
+
+def _couple(A0, B0, fam, T, seed, rule, stop_at_couple, record_history) -> CouplingResult:
+    """The coupled event loop behind both engines.
+
+    Both copies fire the same expanded permutation, except on ranges that hold
+    a block: there the rule's table fires (its A-held row as an extra clock).
+    Asserted on every event: D never increases and the particle-count gap
+    A - B is constant; on block and degraded events: the two discrepancy types
+    never both increase on the fired range; throughout: A >= B if it held at
+    the start.
+    """
+    tab = _tables(fam, rule)
+    comp, ranges, ranges_at, range_of_eid, block, every = (
+        tab.comp, tab.ranges, tab.ranges_at, tab.range_of_eid, tab.block, tab.every)
+    buf = DrawBuffer(substream(seed))
+    a_marginal = [0] * len(comp.perms)
+    counters = {"events": 0, "block_events": 0, "stair_events": 0, "merges": 0, "swaps": 0,
+                "block_diag": 0, "extra_events": 0, "degraded_ranges": 0}
+    degraded = set()  # distinct degraded blocks met in this run
+    history: List[CouplingEvent] = []
+    Aw, Bw = A0.word, B0.word
+    gap = Aw.bit_count() - Bw.bit_count()
+    dominance = (Bw & ~Aw) == 0
+    t, T_couple, n = 0.0, None, 0
+    while True:
+        diff = Aw ^ Bw
+        # a range holds a block when it meets diff and covers ``need``: every
+        # discrepancy under the two-discrepancy rule, any one (need = 0) otherwise
+        need = diff if every else 0
+        X = 0.0
+        live: List[Tuple[_RangeInfo, _CompiledBlock]] = []
+        if diff:
+            # ranges holding every discrepancy all hold the lowest one
+            for info in ranges_at[(diff & -diff).bit_length() - 1] if every else ranges:
+                if info.mask & diff and info.mask & need == need:
+                    blk = block(info, Aw, Bw)
+                    if blk.extra is not None:
+                        live.append((info, blk))
+                        X += blk.extra_rate
+                    elif blk is _DEGRADED:
+                        degraded.add((info.rid, Aw & info.mask, Bw & info.mask))
+        total = comp.Q_tot + X
+        t += buf.std_exponential() / total
+        if t > T:
+            break
+        D_before = diff.bit_count()
+        u = buf.uniform() * total
+        if u < X:
+            acc = 0.0
+            info, blk = live[-1]
+            for cand in live:
+                acc += cand[1].extra_rate
+                if u < acc:
+                    info, blk = cand
+                    break
+            row = blk.extra
+        else:
+            e = comp.alias.draw_u((u - X) / comp.Q_tot)
+            info = ranges[range_of_eid[e]]
+            blk = block(info, Aw, Bw) if info.mask & diff and info.mask & need == need else None
+            row = None
+            if blk is not None and blk is not _DEGRADED:
+                row = blk.alias_rows[bisect_right(blk.cum, buf.uniform() * blk.Z)]
+        if blk is not None:
+            dp_r = (Aw & ~Bw & info.mask).bit_count()
+            dm_r = (Bw & ~Aw & info.mask).bit_count()
+        if row is None:
+            # off-range, or degraded by relaxed closure: the same permutation on both
+            Aw = permute_bits(comp.pairs[e], comp.masks[e], Aw)
+            Bw = permute_bits(comp.pairs[e], comp.masks[e], Bw) if diff else Aw
+            a_marginal[e] += 1
+            if blk is None:
+                label = "off-range"
+            else:
+                label = "diagonal"
+                counters["block_diag"] += 1
+        else:
+            bits_a, bits_b, kind, label, eid_a = row
+            Aw = (Aw & ~info.mask) | bits_a
+            Bw = (Bw & ~info.mask) | bits_b
+            if eid_a is not None:
+                a_marginal[eid_a] += 1
+            counters["block_events"] += 1
+            counters["extra_events"] += int(row is blk.extra)
+            if kind == "diag":
+                counters["block_diag"] += 1
+            else:
+                counters["stair_events"] += 1
+                counters["merges"] += int(bits_a == bits_b)
+                counters["swaps"] += int(kind == "swap")
+        dp, dm = Aw & ~Bw, Bw & ~Aw
+        D_after = (dp | dm).bit_count()
+        n += 1
+        if D_after > D_before:
+            raise _violation(f"discrepancy count increased {D_before} -> {D_after}",
+                             fam, seed, t, n)
+        if dp.bit_count() - dm.bit_count() != gap:
+            raise _violation(f"particle-count gap A - B changed from {gap}", fam, seed, t, n)
+        if blk is not None and ((dp & info.mask).bit_count() > dp_r
+                                and (dm & info.mask).bit_count() > dm_r):
+            raise _violation("both discrepancy types increased on the fired range",
+                             fam, seed, t, n)
+        if dominance and dm:
+            raise _violation("initial dominance A >= B was lost", fam, seed, t, n)
+        if record_history:
+            history.append(CouplingEvent(t, label, info.rid, D_before, D_after))
+        if D_before and not D_after:
+            T_couple = t
+            if stop_at_couple:
+                break
+
+    counters["events"] = n
+    counters["degraded_ranges"] = len(degraded)
+    counters["a_marginal"] = a_marginal
+    lat = fam.lattice
+    final = CoupledState(Configuration(lat, Aw), Configuration(lat, Bw))
+    return CouplingResult(tuple(history), final, Aw == Bw, T_couple, counters)
 
 
 def run_recurrent_coupling(
@@ -700,110 +850,13 @@ def run_recurrent_coupling(
         raise NotRangeClosed("two-discrepancy coupling needs strict range closure")
     if A0.lattice != fam.lattice or B0.lattice != fam.lattice:
         raise BadInitial("initial configurations must live on the family lattice")
-    Aw, Bw = A0.word, B0.word
-    dp, dm = Aw & ~Bw, Bw & ~Aw
+    dp, dm = A0.word & ~B0.word, B0.word & ~A0.word
     if dp.bit_count() != 1 or dm.bit_count() != 1:
         raise BadInitial(
             "need exactly one discrepancy of each type, got "
             f"{dp.bit_count()} over-occupied and {dm.bit_count()} under-occupied"
         )
-    comp, infos, range_of_eid = _range_index(fam)
-    lat = fam.lattice
-    two_ranges = [info for info in infos if info.size == 2]
-    buf = DrawBuffer(substream(seed))
-    block_cache: dict = {}
-    a_marginal = [0] * len(comp.perms)
-    counters = {"events": 0, "block_events": 0, "merges": 0, "swaps": 0,
-                "block_diag": 0, "extra_events": 0}
-    history: List[CouplingEvent] = []
-    t, coupled, T_couple = 0.0, False, None
-
-    def get_block(info, a, b):
-        key = (info.rid, a, b)
-        blk = block_cache.get(key)
-        if blk is None:
-            members = {p: q for p, (q, _) in info.members.items()}
-            rows = recurrent_block_rows(members, info.order, a, b, lat)
-            blk = _compile_block(rows, info)
-            block_cache[key] = blk
-        return blk
-
-    while True:
-        need = dp | dm
-        X = 0.0
-        live2 = []
-        if not coupled and two_ranges:
-            for info in two_ranges:
-                if info.mask & need == need:
-                    live2.append(info)
-                    X += info.m
-        total = comp.Q_tot + X
-        t += buf.std_exponential() / total
-        if t > T:
-            break
-        D_before = dp.bit_count() + dm.bit_count()
-        u = buf.uniform() * total
-        if u < X:
-            # held-side row of a live transposition range
-            acc = 0.0
-            info = live2[-1]
-            for cand in live2:
-                acc += cand.m
-                if u < acc:
-                    info = cand
-                    break
-            blk = get_block(info, _extract(Aw, info.positions), _extract(Bw, info.positions))
-            bits_a, bits_b, kind, index, eid_a, eid_b = blk.extra
-            Aw = (Aw & ~info.mask) | bits_a
-            Bw = (Bw & ~info.mask) | bits_b
-            counters["block_events"] += 1
-            counters["extra_events"] += 1
-            if kind == "merge":
-                counters["merges"] += 1
-            rid, ekind = info.rid, _event_kind(kind, index)
-        else:
-            e = comp.alias.draw_u((u - X) / comp.Q_tot)
-            info = infos[range_of_eid[e]]
-            if coupled or (info.mask & need) != need:
-                Aw = permute_bits(comp.pairs[e], comp.masks[e], Aw)
-                Bw = Aw if coupled else permute_bits(comp.pairs[e], comp.masks[e], Bw)
-                a_marginal[e] += 1
-                rid, ekind = (info.rid, "off-range") if (info.mask & need) != need else (info.rid, "diagonal")
-            else:
-                blk = get_block(info, _extract(Aw, info.positions), _extract(Bw, info.positions))
-                w = buf.uniform() * blk.Z
-                bits_a, bits_b, kind, index, eid_a, eid_b = blk.alias_rows[bisect_right(blk.cum, w)]
-                Aw = (Aw & ~info.mask) | bits_a
-                Bw = (Bw & ~info.mask) | bits_b
-                if eid_a is not None:
-                    a_marginal[eid_a] += 1
-                counters["block_events"] += 1
-                if kind == "merge":
-                    counters["merges"] += 1
-                elif kind == "swap":
-                    counters["swaps"] += 1
-                else:
-                    counters["block_diag"] += 1
-                rid, ekind = info.rid, _event_kind(kind, index)
-        dp, dm = Aw & ~Bw, Bw & ~Aw
-        D_after = dp.bit_count() + dm.bit_count()
-        counters["events"] += 1
-        if D_after not in (0, 2) or D_after > D_before or dp.bit_count() != dm.bit_count():
-            raise _violation(
-                f"discrepancy count went {D_before} -> {D_after} (must stay in {{0,2}}, non-increasing)",
-                fam, seed, t, counters["events"])
-        if coupled and D_after != 0:
-            raise _violation("coupled copies separated", fam, seed, t, counters["events"])
-        if D_after == 0 and not coupled:
-            coupled, T_couple = True, t
-        if record_history:
-            history.append(CouplingEvent(t, ekind, rid, D_before, D_after))
-        if coupled and stop_at_couple:
-            break
-
-    counters["a_marginal"] = a_marginal
-    final = CoupledState(Configuration(lat, Aw), Configuration(lat, Bw))
-    return CouplingResult(tuple(history), final, coupled, T_couple, counters)
+    return _couple(A0, B0, fam, T, seed, "recurrent", stop_at_couple, record_history)
 
 
 def run_general_coupling(
@@ -828,128 +881,7 @@ def run_general_coupling(
         raise NotRangeClosed(f"family fails {closure} range closure")
     if A0.lattice != fam.lattice or B0.lattice != fam.lattice:
         raise BadInitial("initial configurations must live on the family lattice")
-    strict = closure == "strict"
-    comp, infos, range_of_eid = _range_index(fam)
-    lat = fam.lattice
-    buf = DrawBuffer(substream(seed))
-    block_cache: dict = {}
-    a_marginal = [0] * len(comp.perms)
-    counters = {"events": 0, "block_events": 0, "stair_events": 0, "merges": 0,
-                "block_diag": 0, "extra_events": 0, "degraded_ranges": 0}
-    history: List[CouplingEvent] = []
-    dominance = (B0.word & ~A0.word) == 0
-    Aw, Bw = A0.word, B0.word
-    t, coupled, T_couple = 0.0, False, None
-
-    def get_block(info, a, b):
-        key = (info.rid, a, b)
-        blk = block_cache.get(key)
-        if blk is None:
-            members = {p: q for p, (q, _) in info.members.items()}
-            rows = general_block_rows(members, info.order, a, b, lat, strict=strict)
-            blk = _compile_block(rows, info)
-            if blk is _DEGRADED:
-                counters["degraded_ranges"] += 1
-            block_cache[key] = blk
-        return blk
-
-    while True:
-        diff = Aw ^ Bw
-        X = 0.0
-        live: List[Tuple[_RangeInfo, _CompiledBlock]] = []
-        if diff:
-            for info in infos:
-                if diff & info.mask:
-                    blk = get_block(info, _extract(Aw, info.positions), _extract(Bw, info.positions))
-                    if blk.extra is not None:
-                        live.append((info, blk))
-                        X += blk.extra_rate
-        total = comp.Q_tot + X
-        t += buf.std_exponential() / total
-        if t > T:
-            break
-        D_before = diff.bit_count()
-        u = buf.uniform() * total
-        if u < X:
-            acc = 0.0
-            info, blk = live[-1]
-            for cand in live:
-                acc += cand[1].extra_rate
-                if u < acc:
-                    info, blk = cand
-                    break
-            bits_a, bits_b, kind, index, eid_a, eid_b = blk.extra
-            row = (bits_a, bits_b, kind, index, eid_a, eid_b)
-            fired = (info, row, True)
-        else:
-            e = comp.alias.draw_u((u - X) / comp.Q_tot)
-            info = infos[range_of_eid[e]]
-            if not diff & info.mask:
-                Aw = permute_bits(comp.pairs[e], comp.masks[e], Aw)
-                Bw = Aw if not diff else permute_bits(comp.pairs[e], comp.masks[e], Bw)
-                a_marginal[e] += 1
-                counters["events"] += 1
-                if record_history:
-                    history.append(CouplingEvent(t, "off-range", info.rid, D_before, D_before))
-                continue
-            blk = get_block(info, _extract(Aw, info.positions), _extract(Bw, info.positions))
-            if blk is _DEGRADED:
-                # relaxed closure left no usable staircase here; hold the diagonal
-                Aw = permute_bits(comp.pairs[e], comp.masks[e], Aw)
-                Bw = permute_bits(comp.pairs[e], comp.masks[e], Bw)
-                a_marginal[e] += 1
-                counters["events"] += 1
-                counters["block_diag"] += 1
-                D_after = (Aw ^ Bw).bit_count()
-                if D_after > D_before:
-                    raise _violation("diagonal move increased the discrepancy count",
-                                     fam, seed, t, counters["events"])
-                if record_history:
-                    history.append(CouplingEvent(t, "diagonal", info.rid, D_before, D_after))
-                continue
-            w = buf.uniform() * blk.Z
-            row = blk.alias_rows[bisect_right(blk.cum, w)]
-            fired = (info, row, False)
-
-        info, (bits_a, bits_b, kind, index, eid_a, eid_b), from_extra = fired
-        dp_r_before = (Aw & ~Bw & info.mask).bit_count()
-        dm_r_before = (Bw & ~Aw & info.mask).bit_count()
-        Aw = (Aw & ~info.mask) | bits_a
-        Bw = (Bw & ~info.mask) | bits_b
-        if eid_a is not None:
-            a_marginal[eid_a] += 1
-        dp_after, dm_after = Aw & ~Bw, Bw & ~Aw
-        D_after = (dp_after | dm_after).bit_count()
-        dp_r_after = (dp_after & info.mask).bit_count()
-        dm_r_after = (dm_after & info.mask).bit_count()
-        counters["events"] += 1
-        counters["block_events"] += 1
-        counters["extra_events"] += int(from_extra)
-        if kind == "stair":
-            counters["stair_events"] += 1
-            if bits_a == bits_b:
-                counters["merges"] += 1
-        else:
-            counters["block_diag"] += 1
-        if D_after > D_before:
-            raise _violation(f"discrepancy count increased {D_before} -> {D_after}",
-                             fam, seed, t, counters["events"])
-        if dp_r_after > dp_r_before and dm_r_after > dm_r_before:
-            raise _violation("both discrepancy types increased on the fired range",
-                             fam, seed, t, counters["events"])
-        if dominance and dm_after:
-            raise _violation("initial dominance A >= B was lost", fam, seed, t, counters["events"])
-        if D_after == 0 and not coupled:
-            coupled, T_couple = True, t
-        if record_history:
-            history.append(CouplingEvent(t, _event_kind(kind, index), info.rid,
-                                         D_before, D_after))
-        if coupled and stop_at_couple:
-            break
-
-    counters["a_marginal"] = a_marginal
-    final = CoupledState(Configuration(lat, Aw), Configuration(lat, Bw))
-    return CouplingResult(tuple(history), final, Aw == Bw, T_couple, counters)
+    return _couple(A0, B0, fam, T, seed, closure, stop_at_couple, record_history)
 
 
 def write_coupling_csv(result: CouplingResult, path: str) -> None:

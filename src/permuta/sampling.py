@@ -58,8 +58,10 @@ class AliasTable:
 class DrawBuffer:
     """Scalar uniforms and Exp(1) variates prefetched in fixed blocks.
 
-    Per-call Generator draws dominate tight event loops; block refills keep the
-    stream sequence (hence reproducibility) independent of consumption pattern.
+    Per-call Generator draws dominate tight event loops.  Both blocks refill
+    from one generator in the order they run out, so the values drawn depend
+    on how uniform and exponential calls interleave; each engine's draw order
+    is fixed, which makes its runs reproducible at a fixed seed.
     """
 
     def __init__(self, gen: np.random.Generator, block: int = 4096):

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
 import permuta as P
+from permuta import coupling
 from permuta.coupling import _next_arrival
 from permuta.process import _site_clocks
 from permuta.sampling import DrawBuffer, substream
@@ -545,6 +547,122 @@ def test_general_coupling_deterministic(fam8):
     r1 = P.run_general_coupling(A0, B0, fam8, 20.0, 63)
     r2 = P.run_general_coupling(A0, B0, fam8, 20.0, 63)
     assert r1.history == r2.history
+
+
+def relaxed_four_cycles():
+    lat = P.Lattice.torus([8])
+    R = [(i,) for i in range(4)]
+    return P.RateFamily(lat, tuple((s, 1.0) for s in P.enumerate_cyclic(R)))
+
+
+def test_general_coupling_degraded_count_is_per_run():
+    # the block tables are shared across runs; the count is of blocks met in this run
+    fam = relaxed_four_cycles()
+    A0 = P.Configuration(fam.lattice, 0b00110101)
+    B0 = P.Configuration(fam.lattice, 0b01011001)
+    r1 = P.run_general_coupling(A0, B0, fam, 10.0, 61, closure="relaxed")
+    r2 = P.run_general_coupling(A0, B0, fam, 10.0, 61, closure="relaxed")
+    assert r1.counters["degraded_ranges"] == r2.counters["degraded_ranges"] > 0
+
+
+def test_coupling_engines_share_counters_and_labels(fam8):
+    A0, B0 = discrepancy_pair(fam8.lattice, 9)
+    rec = P.run_recurrent_coupling(A0, B0, fam8, 50.0, 19)
+    gen = P.run_general_coupling(A0, B0, fam8, 50.0, 19)
+    assert rec.counters.keys() == gen.counters.keys()
+    assert rec.coupled
+    assert all(ev.kind == "off-range" for ev in rec.history if ev.D_before == 0)
+
+
+# ---------------------------------------------------------------------------
+# the shared event loop's guards and block compiles
+
+
+@pytest.fixture
+def fresh_tables():
+    """Empty block-table cache before and after, so patched builders neither
+    see stale tables nor leave bad ones behind."""
+    coupling._tables.cache_clear()
+    yield
+    coupling._tables.cache_clear()
+
+
+@pytest.mark.parametrize("engine", ["recurrent", "general"])
+def test_coupling_guard_carries_replay_context(monkeypatch, fresh_tables, fam8, engine):
+    name = f"{engine}_block_rows"
+    build = getattr(coupling, name)
+
+    def flipped(*args, **kwargs):
+        # every row flips the first bit of the B word: B gains or loses a particle
+        return [dataclasses.replace(r, b_word=(1 - r.b_word[0],) + tuple(r.b_word[1:]))
+                for r in build(*args, **kwargs)]
+
+    monkeypatch.setattr(coupling, name, flipped)
+    lat = fam8.lattice
+    with pytest.raises(P.PropertyViolation) as exc:
+        if engine == "recurrent":
+            A0, B0 = discrepancy_pair(lat, 5)
+            P.run_recurrent_coupling(A0, B0, fam8, 500.0, 29)
+        else:
+            A0, B0 = P.Configuration(lat, 0b00110101), P.Configuration(lat, 0b01011001)
+            P.run_general_coupling(A0, B0, fam8, 500.0, 29)
+    msg = str(exc.value)
+    assert "seed=29" in msg and "event=" in msg
+    assert P.family_hash(fam8)[:12] in msg
+
+
+@pytest.mark.parametrize("rule", ["recurrent", "strict"])
+def test_block_compile_check_carries_replay_context(monkeypatch, fresh_tables, fam8, rule):
+    name = "recurrent_block_rows" if rule == "recurrent" else "general_block_rows"
+    build = getattr(coupling, name)
+
+    def short(*args, **kwargs):
+        rows = build(*args, **kwargs)  # rates no longer sum to Z
+        return [dataclasses.replace(rows[0], rate=rows[0].rate / 2)] + rows[1:]
+
+    monkeypatch.setattr(coupling, name, short)
+    tab = coupling._tables(fam8, rule)
+    info = tab.ranges[0]
+    a, b = (1, 1, 0), (1, 0, 1)
+    with pytest.raises(P.PropertyViolation) as exc:
+        tab.block(info, coupling._pack(a, info.positions), coupling._pack(b, info.positions))
+    msg = str(exc.value)
+    assert "block rows sum to" in msg
+    assert P.family_hash(fam8)[:12] in msg
+    assert f"range {list(info.order)}, a={a}, b={b}" in msg
+
+
+def test_no_cover_on_strict_range_carries_replay_context(monkeypatch, fresh_tables, fam8):
+    def no_cover(*args, **kwargs):
+        raise P.NoCover("none")
+
+    monkeypatch.setattr(coupling, "select_sigma_general", no_cover)
+    tab = coupling._tables(fam8, "strict")
+    info = tab.ranges[0]
+    with pytest.raises(P.PropertyViolation) as exc:
+        tab.block(info, coupling._pack((1, 1, 0), info.positions),
+                  coupling._pack((1, 0, 0), info.positions))
+    msg = str(exc.value)
+    assert "no cyclic cover" in msg and P.family_hash(fam8)[:12] in msg
+    assert f"range {list(info.order)}" in msg
+
+
+def test_success_bound_compiles_blocks_once(monkeypatch, fresh_tables, fam8):
+    compile_block = coupling._compile_block
+    calls = []
+
+    def counting(rows, info):
+        calls.append(info.rid)
+        return compile_block(rows, info)
+
+    monkeypatch.setattr(coupling, "_compile_block", counting)
+    rep1 = P.success_bound_check(fam8, 50, 7)
+    compiled = len(calls)
+    assert compiled > 0
+    rep2 = P.success_bound_check(fam8, 50, 7)
+    assert len(calls) == compiled  # every table of the second call was a cache hit
+    assert rep1 == rep2
+    assert coupling._tables.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------
