@@ -138,7 +138,7 @@ def cmd_couple_recurrent(args, fam, seed):
             B0 = Configuration(lat, (eta.word | (1 << v)) & ~(1 << u))
         res = coupling.run_recurrent_coupling(
             A0, B0, fam, args.horizon, seed + 2 * i,
-            stop_at_couple=args.stop_at_couple, record_history=False,
+            stop_at_couple=args.stop_at_couple, record_history=bool(args.csv) and i == 0,
         )
         if args.csv and i == 0:
             coupling.write_coupling_csv(res, args.csv)

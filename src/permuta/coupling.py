@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import BadInitial, NoCover, NotRangeClosed, PropertyViolation
 from .lattice import Lattice, Site
 from .permutation import (
@@ -40,6 +42,7 @@ from .process import (
     _compiled,
     _site_clocks,
     _SiteClocks,
+    _advance,
     _violation,
     permute_bits,
 )
@@ -720,10 +723,13 @@ def _couple(A0, B0, fam, T, seed, rule, stop_at_couple, record_history) -> Coupl
 
     Both copies fire the same expanded permutation, except on ranges that hold
     a block: there the rule's table fires (its A-held row as an extra clock).
-    Asserted on every event: D never increases and the particle-count gap
-    A - B is constant; on block and degraded events: the two discrepancy types
-    never both increase on the fired range; throughout: A >= B if it held at
-    the start.
+    Asserted on every event while A != B: D never increases and the
+    particle-count gap A - B is constant; on block and degraded events: the
+    two discrepancy types never both increase on the fired range; throughout:
+    A >= B if it held at the start.  Once A = B (from the start, or after the
+    coupling event without ``stop_at_couple``) the pair is one configuration
+    process: ``process._advance`` runs it to T, every event labelled
+    off-range, and its per-event particle-count check guards those events.
     """
     tab = _tables(fam, rule)
     comp, ranges, ranges_at, range_of_eid, block, every = (
@@ -738,23 +744,22 @@ def _couple(A0, B0, fam, T, seed, rule, stop_at_couple, record_history) -> Coupl
     gap = Aw.bit_count() - Bw.bit_count()
     dominance = (Bw & ~Aw) == 0
     t, T_couple, n = 0.0, None, 0
-    while True:
+    while Aw != Bw:
         diff = Aw ^ Bw
         # a range holds a block when it meets diff and covers ``need``: every
         # discrepancy under the two-discrepancy rule, any one (need = 0) otherwise
         need = diff if every else 0
         X = 0.0
         live: List[Tuple[_RangeInfo, _CompiledBlock]] = []
-        if diff:
-            # ranges holding every discrepancy all hold the lowest one
-            for info in ranges_at[(diff & -diff).bit_length() - 1] if every else ranges:
-                if info.mask & diff and info.mask & need == need:
-                    blk = block(info, Aw, Bw)
-                    if blk.extra is not None:
-                        live.append((info, blk))
-                        X += blk.extra_rate
-                    elif blk is _DEGRADED:
-                        degraded.add((info.rid, Aw & info.mask, Bw & info.mask))
+        # ranges holding every discrepancy all hold the lowest one
+        for info in ranges_at[(diff & -diff).bit_length() - 1] if every else ranges:
+            if info.mask & diff and info.mask & need == need:
+                blk = block(info, Aw, Bw)
+                if blk.extra is not None:
+                    live.append((info, blk))
+                    X += blk.extra_rate
+                elif blk is _DEGRADED:
+                    degraded.add((info.rid, Aw & info.mask, Bw & info.mask))
         total = comp.Q_tot + X
         t += buf.std_exponential() / total
         if t > T:
@@ -783,7 +788,7 @@ def _couple(A0, B0, fam, T, seed, rule, stop_at_couple, record_history) -> Coupl
         if row is None:
             # off-range, or degraded by relaxed closure: the same permutation on both
             Aw = permute_bits(comp.pairs[e], comp.masks[e], Aw)
-            Bw = permute_bits(comp.pairs[e], comp.masks[e], Bw) if diff else Aw
+            Bw = permute_bits(comp.pairs[e], comp.masks[e], Bw)
             a_marginal[e] += 1
             if blk is None:
                 label = "off-range"
@@ -820,10 +825,23 @@ def _couple(A0, B0, fam, T, seed, rule, stop_at_couple, record_history) -> Coupl
             raise _violation("initial dominance A >= B was lost", fam, seed, t, n)
         if record_history:
             history.append(CouplingEvent(t, label, info.rid, D_before, D_after))
-        if D_before and not D_after:
+        if not D_after:
             T_couple = t
             if stop_at_couple:
                 break
+    else:  # A = B, reached or given: one configuration process from here
+        fired = np.zeros(len(a_marginal), dtype=np.int64)
+
+        def tail(eids, times):
+            fired[:] += np.bincount(eids, minlength=len(fired))
+            if record_history:
+                history.extend(CouplingEvent(te, "off-range", range_of_eid[e], 0, 0)
+                               for te, e in zip(times.tolist(), eids.tolist()))
+
+        Aw, k = _advance(comp, Aw, t, T, buf, fam, seed, n, tail, rescale=True)
+        Bw = Aw
+        n += k
+        a_marginal = [a + c for a, c in zip(a_marginal, fired.tolist())]
 
     counters["events"] = n
     counters["degraded_ranges"] = len(degraded)

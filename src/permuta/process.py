@@ -2,9 +2,14 @@
 
 Torus configurations are bit-packed integers in the canonical site order.
 run_config / run_finite are literal exponential-clock simulations returning
-replayable trajectories.  Sparse states (the dual set, the two tagged points
-of the couplings) draw their next event from one per-site clock kernel,
-``_SiteClocks``: every tracked site rings at the per-site total rate M_PL.
+replayable trajectories.  run_config is a block-draw kernel, ``_advance``:
+it reads its event times and permutation choices a block of draws at a
+time, with the same law and the same random stream as one event at a time,
+and only the word updates run per event.  The coupled tail of the coupling
+engines (after A = B) runs on the same kernel.  Sparse states (the dual
+set, the two tagged points of the couplings) draw their next event from one
+per-site clock kernel, ``_SiteClocks``: every tracked site rings at the
+per-site total rate M_PL.
 duality_mc additionally has a vectorized terminal sampler with the identical
 event law (state-independent total rate, null selections included) for large
 replica counts.
@@ -246,6 +251,48 @@ def sample_product(rho: float, lat: Lattice, seed: int) -> Configuration:
     return Configuration(lat, word)
 
 
+def _advance(comp: _Compiled, word: int, t: float, T: float, buf: DrawBuffer,
+             fam: RateFamily, seed: int, n0: int, sink=None, rescale: bool = False):
+    """The configuration process from ``word`` at time ``t`` up to time ``T``.
+
+    Returns (final word, event count) and hands each chunk of events to
+    ``sink(ids, times)``: fired expanded ids and event times as arrays.
+    Reads ``buf`` a chunk at a time, yet draws and computes exactly as one
+    event at a time would: one Exp(1) then one uniform per event, times as
+    the running sum ``t += e / Q_tot``, ids by ``draw_u``.  With ``rescale`` a uniform u
+    enters as (u Q_tot) / Q_tot, as in the coupled loop, which can differ
+    from u in the last bit.  The particle count is checked after every
+    event; ``n0`` events came before, for the event number a violation
+    reports.
+    """
+    Q, pairs, masks = comp.Q_tot, comp.pairs, comp.masks
+    count0 = word.bit_count()
+    n = n0
+    while True:
+        e, u = buf.blocks()
+        m = min(len(e), len(u))
+        need = max(Q * (T - t), 0.0)  # expected events left
+        if need < m:  # a short horizon pays for a chunk of six sigmas, not a block
+            m = min(m, int(need + 6 * math.sqrt(need)) + 16)
+        times = e[:m] / Q
+        times[0] += t
+        np.add.accumulate(times, out=times)  # sequential, so bit-equal to the scalar sum
+        k = int(times.searchsorted(T, side="right"))
+        u = u[:k]
+        ids = comp.alias.draw_u_array((u * Q) / Q if rescale else u)
+        for j, eid in enumerate(ids.tolist()):
+            word = permute_bits(pairs[eid], masks[eid], word)
+            if word.bit_count() != count0:  # bijections cannot do this
+                raise _violation("particle count changed", fam, seed, float(times[j]), n + j + 1)
+        n += k
+        if sink is not None:
+            sink(ids, times[:k])
+        if k < m:
+            return word, n - n0
+        buf.consume(m)
+        t = times[-1]
+
+
 def run_config(
     eta0: Configuration,
     fam: RateFamily,
@@ -258,20 +305,15 @@ def run_config(
     if not fam.lattice.is_torus or eta0.lattice != fam.lattice:
         raise ValueError("run_config needs a torus configuration on the family's lattice")
     comp = _compiled(fam)
+    events: list = []
+
+    def record(ids, times):
+        events.extend((t, comp.base_idx[e], comp.shifts[e])
+                      for t, e in zip(times.tolist(), ids.tolist()))
+
     buf = DrawBuffer(substream(seed), block=1024)
-    word, t, events, n = eta0.word, 0.0, [], 0
-    count0 = eta0.particle_count
-    while True:
-        t += buf.std_exponential() / comp.Q_tot
-        if t > T:
-            break
-        e = comp.alias.draw_u(buf.uniform())
-        word = permute_bits(comp.pairs[e], comp.masks[e], word)
-        n += 1
-        if word.bit_count() != count0:
-            raise _violation("particle count changed", fam, seed, t, n)  # bijections cannot do this
-        if record_events:
-            events.append((t, comp.base_idx[e], comp.shifts[e]))
+    word, n = _advance(comp, eta0.word, 0.0, T, buf, fam, seed, 0,
+                       record if record_events else None)
     return Trajectory(seed, T, tuple(events), Configuration(fam.lattice, word), n)
 
 
@@ -402,8 +444,17 @@ def duality_mc(
         traj = run_finite(dual, fam, t, seed + 2 * i + 2, record_events=False)
         return int(all(eta0.occupied(x) for x in traj.terminal.sites))
 
-    lhs_hits = sum(map(one_lhs, range(n)))
-    rhs_hits = sum(map(one_rhs, range(n)))
+    def hits(side: str, one) -> int:
+        total = 0
+        for i in range(n):
+            try:
+                total += one(i)
+            except PropertyViolation as exc:
+                raise PropertyViolation(f"{exc} ({side} side, replica={i})") from exc
+        return total
+
+    lhs_hits = hits("lhs", one_lhs)
+    rhs_hits = hits("rhs", one_rhs)
     return Estimate.from_bernoulli(lhs_hits, n), Estimate.from_bernoulli(rhs_hits, n)
 
 

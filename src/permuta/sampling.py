@@ -3,12 +3,14 @@
 Counter-based Philox streams keyed by (seed, replica) give bit-exact
 reproducibility.  Scalar engines read their uniforms and Exp(1) variates
 from a ``DrawBuffer`` and pick discrete outcomes with ``AliasTable.draw_u``;
+block kernels read whole ``DrawBuffer`` blocks and pick with
+``AliasTable.draw_u_array``, which keeps the scalar stream and arithmetic;
 the vectorized sampler uses ``AliasTable.draw_many``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +56,12 @@ class AliasTable:
         i = int(scaled)
         return i if scaled - i < self.prob[i] else int(self.alias[i])
 
+    def draw_u_array(self, u: np.ndarray) -> np.ndarray:
+        """``draw_u`` on each uniform of an array, with the same float arithmetic."""
+        scaled = u * self.n
+        i = scaled.astype(np.int64)
+        return np.where(scaled - i < self.prob[i], i, self.alias[i])
+
 
 class DrawBuffer:
     """Scalar uniforms and Exp(1) variates prefetched in fixed blocks.
@@ -61,7 +69,9 @@ class DrawBuffer:
     Per-call Generator draws dominate tight event loops.  Both blocks refill
     from one generator in the order they run out, so the values drawn depend
     on how uniform and exponential calls interleave; each engine's draw order
-    is fixed, which makes its runs reproducible at a fixed seed.
+    is fixed, which makes its runs reproducible at a fixed seed.  Block
+    kernels read the unread parts with ``blocks`` and mark what they used
+    with ``consume``.
     """
 
     def __init__(self, gen: np.random.Generator, block: int = 4096):
@@ -72,19 +82,45 @@ class DrawBuffer:
         self._e: np.ndarray = gen.standard_exponential(block)
         self._ie = 0
 
+    def _refill_u(self) -> None:
+        self._u = self._gen.random(self._block)
+        self._iu = 0
+
+    def _refill_e(self) -> None:
+        self._e = self._gen.standard_exponential(self._block)
+        self._ie = 0
+
     def uniform(self) -> float:
         if self._iu == self._block:
-            self._u = self._gen.random(self._block)
-            self._iu = 0
+            self._refill_u()
         v = self._u[self._iu]
         self._iu += 1
         return float(v)
 
     def std_exponential(self) -> float:
         if self._ie == self._block:
-            self._e = self._gen.standard_exponential(self._block)
-            self._ie = 0
+            self._refill_e()
         v = self._e[self._ie]
         self._ie += 1
         return float(v)
 
+    def blocks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The unread Exp(1) variates and uniforms, both non-empty.
+
+        An empty block is refilled first, the exponential one before the
+        uniform one: the order in which alternating ``std_exponential`` /
+        ``uniform`` calls refill them.  The arrays are views; nothing counts
+        as read until ``consume``.
+        """
+        if self._ie == self._block:
+            self._refill_e()
+        if self._iu == self._block:
+            self._refill_u()
+        return self._e[self._ie:], self._u[self._iu:]
+
+    def consume(self, k: int) -> None:
+        """Mark the next k exponentials and the next k uniforms as read."""
+        if not 0 <= k <= self._block - max(self._ie, self._iu):
+            raise ValueError(f"cannot consume {k} draws from the unread blocks")
+        self._ie += k
+        self._iu += k

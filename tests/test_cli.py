@@ -210,6 +210,18 @@ def test_couple_recurrent(tmp_path):
     assert 0.0 < summary["merge_fraction"] <= 1.0
 
 
+def test_couple_recurrent_csv_holds_first_run(tmp_path):
+    args = ["couple", "recurrent", "--family", DATA_FAMILY, "--seed", "7", "--samples", "3",
+            "--horizon", "50.0", "--discrepancies", "2,3"]
+    plain, with_csv, csv = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "r.csv"
+    assert main(args + ["--out", str(plain)]) == 0
+    assert main(args + ["--out", str(with_csv), "--csv", str(csv)]) == 0
+    assert with_csv.read_bytes() == plain.read_bytes()
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "time,kind,range_id,D_before,D_after"
+    assert len(lines) == read_records(str(plain))[0]["events"] + 1 > 1
+
+
 def test_couple_recurrent_needs_discrepancies(tmp_path):
     # without --discrepancies the two copies coincide and are rejected
     rc = main(

@@ -1,13 +1,14 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 import permuta as P
-from permuta import coupling
+from permuta import coupling, process
 from permuta.coupling import _next_arrival
-from permuta.process import _site_clocks
+from permuta.process import _site_clocks, permute_bits
 from permuta.sampling import DrawBuffer, substream
 from conftest import (
     axis_three_cycles_3d,
@@ -609,6 +610,25 @@ def test_coupling_guard_carries_replay_context(monkeypatch, fresh_tables, fam8, 
     msg = str(exc.value)
     assert "seed=29" in msg and "event=" in msg
     assert P.family_hash(fam8)[:12] in msg
+
+
+def test_coupled_tail_checks_particle_count(monkeypatch, fam8):
+    # after A = B the pair runs as one configuration process in process._advance
+    A0, B0 = discrepancy_pair(fam8.lattice, 5)
+    before = P.run_recurrent_coupling(A0, B0, fam8, 500.0, 17, stop_at_couple=True)
+    assert before.coupled
+
+    def leaky(pairs, mask, words):
+        out = permute_bits(pairs, mask, words)
+        return out & (out - 1)  # loses the lowest particle
+
+    monkeypatch.setattr(process, "permute_bits", leaky)
+    with pytest.raises(P.PropertyViolation) as exc:
+        P.run_recurrent_coupling(A0, B0, fam8, 500.0, 17, record_history=False)
+    msg = str(exc.value)
+    assert "particle count changed" in msg and "seed=17" in msg
+    assert P.family_hash(fam8)[:12] in msg
+    assert int(re.search(r"event=(\d+)", msg).group(1)) > before.counters["events"]
 
 
 @pytest.mark.parametrize("rule", ["recurrent", "strict"])

@@ -8,6 +8,7 @@ import permuta as P
 from conftest import three_cycles
 from permuta import process
 from permuta.process import _compiled, permute_bits
+from permuta.sampling import DrawBuffer, substream
 
 
 def test_configuration_accessors():
@@ -19,6 +20,117 @@ def test_configuration_accessors():
     assert set(eta.occupied_sites()) == {(0,), (2,), (5,)}
     assert P.Configuration.empty(lat).word == 0
     assert P.Configuration.full(lat).particle_count == 6
+
+
+def scalar_config(word, fam, T, seed, block=1024, rescale=False):
+    """Reference: the configuration process one event at a time, one Exp(1)
+    and one uniform per event.
+
+    Returns (final word, [(t, expanded id)]).  ``rescale`` feeds draw_u the
+    coupled loop's (u Q_tot) / Q_tot instead of u."""
+    comp = _compiled(fam)
+    buf = DrawBuffer(substream(seed), block=block)
+    t, fired = 0.0, []
+    while True:
+        t += buf.std_exponential() / comp.Q_tot
+        if t > T:
+            return word, fired
+        u = buf.uniform()
+        e = comp.alias.draw_u((u * comp.Q_tot) / comp.Q_tot if rescale else u)
+        word = permute_bits(comp.pairs[e], comp.masks[e], word)
+        fired.append((t, e))
+
+
+@pytest.mark.parametrize("fam, T", [
+    (three_cycles(8), 0.0),
+    (three_cycles(8), 7.3),
+    (three_cycles(8), 300.0),  # 4800 events: four refills of 1024 draws
+    (three_cycles(20), 150.0),
+    (three_cycles(20, rate=0.7, rate_inverse=1.9), 90.0),  # Q_tot = 52, not a power of two
+    (three_cycles(9, rate=1.0, rate_inverse=3.0), 40.0),
+], ids=["L8-T0", "L8-T7.3", "L8-T300", "L20-T150", "mixed-L20-T90", "mixed-L9-T40"])
+def test_run_config_equals_scalar_reference(fam, T):
+    comp = _compiled(fam)
+    for seed in (1, 2, 3):
+        eta0 = P.sample_product(0.5, fam.lattice, seed + 50)
+        word, fired = scalar_config(eta0.word, fam, T, seed)
+        traj = P.run_config(eta0, fam, T, seed)
+        assert traj.terminal.word == word
+        assert traj.n_events == len(fired)
+        assert traj.events == tuple((t, comp.base_idx[e], comp.shifts[e]) for t, e in fired)
+        bare = P.run_config(eta0, fam, T, seed, record_events=False)
+        assert (bare.terminal.word, bare.n_events, bare.events) == (word, len(fired), ())
+
+
+@pytest.mark.parametrize("fam", [three_cycles(8), three_cycles(20, rate=0.7, rate_inverse=1.9)],
+                         ids=["L8", "mixed-L20"])
+def test_coupled_start_equals_scalar_reference(fam):
+    # A0 == B0: the coupling is one configuration process from the start
+    comp = _compiled(fam)
+    for seed in (4, 5):
+        eta0 = P.sample_product(0.5, fam.lattice, seed)
+        word, fired = scalar_config(eta0.word, fam, 300.0, seed, block=4096, rescale=True)
+        res = P.run_general_coupling(eta0, eta0, fam, 300.0, seed)
+        assert res.final.A.word == res.final.B.word == word
+        assert res.counters["a_marginal"] == np.bincount(
+            [e for _, e in fired], minlength=len(comp.perms)).tolist()
+        assert res.counters["events"] == len(fired) > 4096
+
+
+class FixedDraws:
+    """Stands in for a DrawBuffer holding one block of given draws."""
+
+    def __init__(self, e, u):
+        self.e, self.u = np.array(e), np.array(u)
+
+    def blocks(self):
+        return self.e, self.u
+
+    def consume(self, k):
+        raise AssertionError("the horizon ends inside the block")
+
+
+def test_advance_rescale_keeps_coupled_loop_arithmetic():
+    fam = three_cycles(20, rate=0.7, rate_inverse=1.9)  # Q_tot = 52
+    comp = _compiled(fam)
+    u = 0.04999999999999999  # (u Q_tot) / Q_tot is one ulp off u and picks another permutation
+    plain = comp.alias.draw_u(u)
+    coupled = comp.alias.draw_u((u * comp.Q_tot) / comp.Q_tot)
+    assert plain != coupled
+    for rescale, want in ((False, plain), (True, coupled)):
+        fired = []
+        buf = FixedDraws([0.1, 100.0], [u, 0.5])  # one event before T = 1
+        _, n = process._advance(comp, 0b111, 0.0, 1.0, buf, fam, 1, 0,
+                                lambda ids, times: fired.extend(ids.tolist()), rescale)
+        assert n == 1 and fired == [want]
+
+
+def test_draw_buffer_block_reads_keep_scalar_order():
+    """Block reads mixed with scalar reads give the values of the same
+    exponential / uniform alternation read one draw at a time."""
+    def scalar(buf, step):  # step: k (exponential, uniform) pairs, or "u" for one uniform
+        if step == "u":
+            return [buf.uniform()]
+        return [x for _ in range(step) for x in (buf.std_exponential(), buf.uniform())]
+
+    def blocked(buf, k):
+        out = []
+        while k:
+            e, u = buf.blocks()
+            j = min(len(e), len(u), k)
+            out += [x for pair in zip(e[:j].tolist(), u[:j].tolist()) for x in pair]
+            buf.consume(j)
+            k -= j
+        return out
+
+    plan = [3, 5, "u", 4, 2, 7, "u", 6, "u", 9, 1, 3]  # odd positions read blocks
+    buf = DrawBuffer(substream(9), block=4)
+    mixed = [x for i, step in enumerate(plan)
+             for x in (blocked(buf, step) if i % 2 else scalar(buf, step))]
+    ref = DrawBuffer(substream(9), block=4)
+    assert mixed == [x for step in plan for x in scalar(ref, step)]
+    with pytest.raises(ValueError):
+        DrawBuffer(substream(9), block=4).consume(5)
 
 
 def test_sample_product_extremes():
@@ -191,6 +303,25 @@ def test_violation_carries_replay_context(monkeypatch, fam8):
     msg = str(exc.value)
     assert "seed=17" in msg and "event=1" in msg
     assert P.family_hash(fam8)[:12] in msg
+
+
+def test_event_duality_violation_names_replica_and_side(monkeypatch, fam8):
+    eta0 = P.Configuration(fam8.lattice, 0b00101101)
+
+    def leaky(pairs, mask, words):
+        out = permute_bits(pairs, mask, words)
+        return out & (out - 1)  # loses the lowest particle
+
+    with monkeypatch.context() as m:
+        m.setattr(process, "permute_bits", leaky)
+        with pytest.raises(P.PropertyViolation, match=r"lhs side, replica=0\)"):
+            P.duality_mc(eta0, [(0,), (1,)], fam8, 1.0, 5, 3, engine="event")
+
+    clocks = process._site_clocks(fam8)
+    monkeypatch.setattr(clocks, "apply_point", lambda b, v, x: (0,))  # merges the dual set
+    with pytest.raises(P.PropertyViolation, match=r"rhs side, replica=0\)") as exc:
+        P.duality_mc(eta0, [(0,), (1,)], fam8, 1.0, 5, 3, engine="event")
+    assert "dual support size changed" in str(exc.value)
 
 
 def test_duality_mc_product_initial(fam8):
