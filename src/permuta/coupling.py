@@ -1,17 +1,22 @@
 """Coupled constructions for pairs of processes.
 
-Two constructions live here: the I/J/E triple over two tagged points with
-the g-function estimators, and one coupled event loop (``_couple``) for
-two configurations.  Both copies fire the same permutation except on ranges
-holding a block, where a per-range table fires instead.  Two block rules
-share the loop: the two-discrepancy coupling (``run_recurrent_coupling``)
-puts a merging table on ranges holding every discrepancy, the
-discrepancy-monotone general coupling (``run_general_coupling``) puts a
-staircase table on ranges holding any.  Tables are compiled once per
-family and rule.  They are built by pure word-level functions so tests can
-sum their rates symbolically; exhaustive small-range checks of the two
-combinatorial facts the tables rely on (cyclic covers exist, discrepancies
-never increase) are at the bottom.
+Two constructions live here.  The I/J/E triple over two tagged points, with
+the g-function estimators, runs on one block kernel (``_walk``).  It reads
+the pair's arrivals a chunk of draws at a time and moves the separation
+d = p2 - p1 by one cumulative sum while each arrival's range misses the
+other point; the both-cover arrivals, the only ones where the shared phase
+and the I, J and E rules differ, are handled one at a time.  Its random
+stream is the one of an arrival at a time.  One coupled event loop
+(``_couple``) runs two configurations.  Both copies fire the same
+permutation except on ranges holding a block, where a per-range table fires
+instead.  Two block rules share the loop: the two-discrepancy coupling
+(``run_recurrent_coupling``) puts a merging table on ranges holding every
+discrepancy, the discrepancy-monotone general coupling
+(``run_general_coupling``) puts a staircase table on ranges holding any.
+Tables are compiled once per family and rule.  They are built by pure
+word-level functions so tests can sum their rates symbolically; exhaustive
+small-range checks of the two combinatorial facts the tables rely on
+(cyclic covers exist, discrepancies never increase) are at the bottom.
 """
 
 from __future__ import annotations
@@ -87,126 +92,102 @@ class TripleResult:
     counters: Dict[str, int]
 
 
-def _next_arrival(clocks: _SiteClocks, pair, t, T, buf):
-    """Next ring of the two points' site clocks after time t (rate 2 M_PL).
+def _walk(sc: _SiteClocks, buf: DrawBuffer, t: float, T: float, s: np.ndarray, rule: str,
+          stop: bool, sink=None):
+    """Run the pair, as the state rows ``s`` = (p1, d = p2 - p1), from time t
+    to T under one rule, a chunk of arrivals at a time.
 
-    Returns (t, None) once the horizon T is passed, else (t, (bidx, v_abs,
-    covers, label)): the expanded permutation proposed, the points its range
-    covers (bit 0: first, bit 1: second) and the point whose clock rang (1 or
-    2).  Both clocks propose a both-cover permutation, so it arrives at twice
-    its rate with a fair label.  Draws one Exp(1) and, before T, one uniform.
+    Draws as one arrival at a time would: one Exp(1) and, before T, one
+    uniform read with ``_SiteClocks.ring``'s arithmetic.  On a both-cover
+    arrival, shared stops before it acts, E moves both points on label 1 and
+    nothing on label 2, J moves both, and I treats it as any arrival.
+    ``t_hit`` is that stop, the first both-point move (E, J) or the first
+    d = 0 (I, the start included); with ``stop`` the walk ends there.
+    ``sink(rule, times, labels, anchors, path)`` gets each chunk's
+    arrivals, ``path`` the states before each and after the last.
+
+    Returns (t_hit, final state, both-cover arrivals, both-point moves, last
+    both-cover arrival as (label - 1, table row, anchor)).
     """
-    t += buf.std_exponential() / (2 * clocks.M_PL)
-    if t > T:
-        return t, None
-    i, bidx, v = clocks.ring(pair, buf.uniform())
-    covers = clocks.covers(bidx, v, pair[0]) | (clocks.covers(bidx, v, pair[1]) << 1)
-    return t, (bidx, v, covers, i + 1)
-
-
-def _move_one(clocks: _SiteClocks, pair, bidx, v_abs, which: int):
-    """Apply the fired permutation to point ``which`` (1 or 2) of the pair only."""
-    moved = clocks.apply_point(bidx, v_abs, pair[which - 1])
-    return (moved, pair[1]) if which == 1 else (pair[0], moved)
-
-
-def _shared_phase(clocks: _SiteClocks, pair, t, T, buf, sink=None):
-    """Run the common pair until the first both-cover arrival or the horizon.
-
-    Returns (t, pair, arrival) with arrival = (bidx, v_abs, label) of the
-    decoupling event, or arrival = None if T was reached first.
-    """
+    rate = 2 * sc.M_PL
+    met = rule == "I" and sc.sep_index(s[None, 1])[0] == sc.zero
+    t_hit, both, moves, arrival = t if met else None, 0, 0, None
+    if met and stop:
+        return t_hit, s, both, moves, arrival
+    chunk = 64  # arrivals; doubles after each chunk without both-cover arrivals
     while True:
-        t, hit = _next_arrival(clocks, pair, t, T, buf)
-        if hit is None:
-            return t, pair, None
-        bidx, v_abs, covers, label = hit
-        if covers == 3:
-            return t, pair, (bidx, v_abs, label)
-        # single-cover move keeps all three processes identical
-        pair = _move_one(clocks, pair, bidx, v_abs, label)
+        e, u = buf.blocks()
+        m = min(len(e), len(u), chunk)
+        times = e[:m] / rate
+        times[0] += t
+        np.add.accumulate(times, out=times)  # sequential, so bit-equal to t += e / rate
+        k = int(times.searchsorted(T, side="right"))
+        x = u[:k] * 2  # ring's arithmetic: the clock's point, then its anchor
+        lab = x.astype(np.int64)
+        anchor = sc.alias.draw_u_array(x - lab)
+        path = np.concatenate([s[None], sc.move1[lab, anchor]]).cumsum(axis=0)
+        settled, drawn = k, None  # drawn: arrivals read when the walk stops in this chunk
+        j = 0
+        while j < k and (rule != "I" or t_hit is None):
+            idx = sc.sep_index(path[j:, 1])
+            if rule == "I":  # d = 0 after the arrival; later meets change nothing
+                hit = idx[1:] == sc.zero
+            else:
+                hit = sc.both[lab[j:], idx[:-1], anchor[j:]]
+            h = int(hit.argmax())
+            if not hit[h]:
+                break
+            l, i, a = int(lab[j + h]), int(idx[h]), int(anchor[j + h])
+            h += j
+            if rule == "I":
+                t_hit = float(times[h])
+                if stop:
+                    settled = drawn = h + 1
+                break
+            both += 1
+            arrival = (l, i, a)
+            if rule == "shared":
+                t_hit, settled, drawn = float(times[h]), h, h + 1
+                break
+            if rule == "J" or l == 0:
+                moves += 1
+                t_hit = float(times[h]) if t_hit is None else t_hit
+                path[h + 1:] += path[h] + sc.move2[l, i, a] - path[h + 1]
+                if stop:
+                    settled = drawn = h + 1
+                    break
+            else:  # E ignores the second point's clock
+                path[h + 1:] += path[h] - path[h + 1]
+            j = h + 1
         if sink is not None:
-            sink(TripleEvent(t, "shared", covers, label, None), pair)
+            sink(rule, times[:settled], lab[:settled], anchor[:settled], path[:settled + 1])
+        if drawn is not None:
+            buf.consume(drawn)
+            return t_hit, path[settled], both, moves, arrival
+        if k < m:
+            buf.consume(k)
+            buf.std_exponential()  # the arrival past T
+            return t_hit, path[k], both, moves, arrival
+        buf.consume(m)
+        t, s = float(times[-1]), path[k]
+        chunk *= 1 if j else 2  # j > 0: this chunk handled a both-cover arrival
 
 
-def _evolve_E(clocks, pair, t, T, buf, stop_on_jump, sink=None):
-    """Pair process acting on both-cover arrivals of the first point's clock
-    only, i.e. at their rate q.
-
-    Returns (t_first_jump or None, pair, arrivals, acted)."""
-    arrivals = acted = 0
-    t_jump = None
-    while True:
-        t, hit = _next_arrival(clocks, pair, t, T, buf)
-        if hit is None:
-            return t_jump, pair, arrivals, acted
-        bidx, v_abs, covers, label = hit
-        if covers == 3:
-            arrivals += 1
-            act = label == 1
-            if act:
-                acted += 1
-                pair = tuple(clocks.apply_point(bidx, v_abs, x) for x in pair)
-                if t_jump is None:
-                    t_jump = t
-            if sink is not None:
-                sink(TripleEvent(t, "E", covers, label, act), pair)
-            if act and stop_on_jump:
-                return t_jump, pair, arrivals, acted
-        else:
-            pair = _move_one(clocks, pair, bidx, v_abs, label)
-            if sink is not None:
-                sink(TripleEvent(t, "E", covers, label, None), pair)
+def _decouple(sc: _SiteClocks, s: np.ndarray, arrival):
+    """(I, J, E states, whether E acted, whether J moved both points) after
+    the decoupling arrival: J moves both points, E too if the first point's
+    clock rang, I only the point whose clock rang."""
+    l, i, a = arrival
+    one, two = sc.move1[l, a], sc.move2[l, i, a]
+    return (s + one, s + two, s + two if l == 0 else s), l == 0, bool((one != two).any())
 
 
-def _evolve_I(clocks, pair, t, T, buf, stop_on_meet, sink=None):
-    """Two independent one-point walks: each arrival moves only the point
-    whose clock rang.
-
-    Returns (t_first_meet or None, pair).  The walks keep moving after a
-    meet; only the first meet time is reported."""
-    t_meet = t if pair[0] == pair[1] else None
-    if t_meet is not None and stop_on_meet:
-        return t_meet, pair
-    while True:
-        t, hit = _next_arrival(clocks, pair, t, T, buf)
-        if hit is None:
-            return t_meet, pair
-        bidx, v_abs, covers, label = hit
-        pair = _move_one(clocks, pair, bidx, v_abs, label)
-        if sink is not None:
-            sink(TripleEvent(t, "I", covers, label, None), pair)
-        if pair[0] == pair[1] and t_meet is None:
-            t_meet = t
-            if stop_on_meet:
-                return t_meet, pair
-
-
-def _evolve_J(clocks, pair, t, T, buf, sink=None):
-    """Pair process applying every covering arrival to both points (no thinning).
-
-    Returns (t_first_both_jump or None, pair)."""
-    t_jump = None
-    while True:
-        t, hit = _next_arrival(clocks, pair, t, T, buf)
-        if hit is None:
-            return t_jump, pair
-        bidx, v_abs, covers, label = hit
-        pair = tuple(clocks.apply_point(bidx, v_abs, x) for x in pair)
-        if covers == 3 and t_jump is None:
-            t_jump = t
-        if sink is not None:
-            sink(TripleEvent(t, "J", covers, label, None), pair)
-
-
-def _decouple(clocks: _SiteClocks, pair, arrival):
-    """(I, J, E pairs, whether E acted) right after the decoupling arrival: J
-    moves both points, E moves both only when the first point's clock rang,
-    I moves only the point whose clock rang."""
-    bidx, v_abs, label = arrival
-    j_pair = tuple(clocks.apply_point(bidx, v_abs, p) for p in pair)
-    e_acted = label == 1
-    return _move_one(clocks, pair, bidx, v_abs, label), j_pair, j_pair if e_acted else pair, e_acted
+def _pairs(lat: Lattice, states: np.ndarray) -> List[Tuple[Site, Site]]:
+    """Site pairs of (p1, d) states."""
+    p1, p2 = states[:, 0], states[:, 0] + states[:, 1]
+    if lat.is_torus:
+        p1, p2 = p1 % lat.dims, p2 % lat.dims
+    return list(zip(map(tuple, p1.tolist()), map(tuple, p2.tolist())))
 
 
 def run_triple(
@@ -222,60 +203,50 @@ def run_triple(
     p1, p2 = lat.wrap(x[0]), lat.wrap(x[1])
     if p1 == p2:
         raise ValueError("the two tagged points must differ")
-    clocks = _site_clocks(fam)
+    sc = _site_clocks(fam)
     buf = DrawBuffer(substream(seed))
-    events: List[TripleEvent] = []
-    history: List[TripleState] = []
+    timeline: List[tuple] = []  # (t, process, label, covers, pair after) per arrival
 
-    # shared phase, event by event so the identity I = J = E is asserted live
-    def shared(ev, p):
-        events.append(ev)
-        if record_history:
-            history.append(TripleState(p, p, p, False, None))
-    T_dec, pair, arrival = _shared_phase(clocks, (p1, p2), 0.0, T, buf, sink=shared)
+    def sink(proc, times, lab, anchor, path):
+        covers = np.where(sc.both[lab, sc.sep_index(path[:-1, 1]), anchor], 3, lab + 1)
+        timeline.extend(zip(times.tolist(), [proc] * len(times), (lab + 1).tolist(),
+                            covers.tolist(), _pairs(lat, path[1:])))
+
+    T_dec, s, _, _, arrival = _walk(sc, buf, 0.0, T, np.array([p1, np.subtract(p2, p1)]),
+                                    "shared", True, sink)
+    events = [TripleEvent(t, "shared", c, lab, None) for t, _, lab, c, _ in timeline]
+    history = [TripleState(p, p, p, False, None) for *_, p in timeline] if record_history else []
     counters: Dict[str, Any] = {"shared_events": len(events), "both_cover_arrivals": 0,
                                 "e_acted": 0, "i_met": 0, "e_jumped": 0, "j_jumped": 0}
+    if T_dec is None:
+        pair, = _pairs(lat, s[None])
+        return TripleResult(tuple(history), tuple(events),
+                            TripleState(pair, pair, pair, False, None), counters)
 
-    if arrival is None:
-        final = TripleState(pair, pair, pair, False, None)
-        return TripleResult(tuple(history), tuple(events), final, counters)
-
-    i_pair, j_pair, e_pair, e_acted = _decouple(clocks, pair, arrival)
-    counters["both_cover_arrivals"] += 1
-    counters["e_acted"] += int(e_acted)
-    counters["j_jumped"] = 1
-    counters["e_jumped"] = int(e_acted)
-    counters["i_met"] = int(i_pair[0] == i_pair[1])
-    events.append(TripleEvent(T_dec, "shared", 3, arrival[2], e_acted))
+    states, e_acted, j_both = _decouple(sc, s, arrival)
+    cur = dict(zip("IJE", _pairs(lat, np.array(states))))
+    events.append(TripleEvent(T_dec, "shared", 3, arrival[0] + 1, e_acted))
     if record_history:
-        history.append(TripleState(i_pair, j_pair, e_pair, True, T_dec))
-
-    # the three processes continue independently; their event streams are
-    # replayed in time order to rebuild joint snapshots
-    timeline: List[Tuple[TripleEvent, Tuple[Site, Site]]] = []
-
-    def sink(ev, p):
-        timeline.append((ev, p))
-    t_meet, i_final = _evolve_I(clocks, i_pair, T_dec, T, buf, stop_on_meet=False, sink=sink)
-    _, j_final = _evolve_J(clocks, j_pair, T_dec, T, buf, sink=sink)
-    t_jump, e_final, arr, act = _evolve_E(clocks, e_pair, T_dec, T, buf,
-                                          stop_on_jump=False, sink=sink)
-    counters["both_cover_arrivals"] += arr
-    counters["e_acted"] += act
-    counters["i_met"] |= int(t_meet is not None)
-    counters["e_jumped"] |= int(t_jump is not None)
+        history.append(TripleState(*cur.values(), True, T_dec))
+    # the three processes continue independently; their arrivals are merged
+    # in time order to rebuild joint snapshots
+    timeline.clear()
+    (t_meet, i_end, *_), (_, j_end, *_), (t_jump, e_end, arr, act, _) = (
+        _walk(sc, buf, T_dec, T, s, proc, False, sink) for proc, s in zip("IJE", states))
+    counters.update(both_cover_arrivals=1 + arr, e_acted=int(e_acted) + act,
+                    i_met=int(t_meet is not None), j_jumped=int(j_both),
+                    e_jumped=int(e_acted or t_jump is not None))
     if counters["e_jumped"] and not counters["j_jumped"]:
-        raise PropertyViolation("E had a both-point jump before J")
+        raise _violation("E had a both-point jump before J", fam, seed)
     if counters["i_met"] and not counters["j_jumped"]:
-        raise PropertyViolation("I met before J had a both-point jump")
-    timeline.sort(key=lambda item: item[0].t)
-    cur = {"I": i_pair, "J": j_pair, "E": e_pair}
-    for ev, p in timeline:
-        events.append(ev)
-        cur[ev.process] = p
+        raise _violation("I met before J had a both-point jump", fam, seed)
+    timeline.sort(key=lambda item: item[0])
+    for t, proc, lab, c, p in timeline:
+        events.append(TripleEvent(t, proc, c, lab, lab == 1 if proc == "E" and c == 3 else None))
+        cur[proc] = p
         if record_history:
-            history.append(TripleState(cur["I"], cur["J"], cur["E"], True, T_dec))
-    final = TripleState(i_final, j_final, e_final, True, T_dec)
+            history.append(TripleState(*cur.values(), True, T_dec))
+    final = TripleState(*_pairs(lat, np.array([i_end, j_end, e_end])), True, T_dec)
     return TripleResult(tuple(history), tuple(events), final, counters)
 
 
@@ -309,25 +280,21 @@ class GEstimates:
         }
 
 
-def _g_one_run(clocks: _SiteClocks, x, T: float, gen) -> Tuple[int, int, int, int, int]:
+def _g_one_run(sc: _SiteClocks, s: np.ndarray, T: float, gen) -> Tuple[int, int, int, int, int]:
     buf = DrawBuffer(gen, block=1024)
-    t, pair, arrival = _shared_phase(clocks, x, 0.0, T, buf)
-    if arrival is None:
+    t, s, _, _, arrival = _walk(sc, buf, 0.0, T, s, "shared", True)
+    if t is None:
         return 0, 0, 0, 0, 0
-    i_pair, _, e_pair, e_acted = _decouple(clocks, pair, arrival)
-    hit_j = 1
-    arrivals, acted = 1, int(e_acted)
-    hit_e = int(e_acted)
-    hit_i = int(i_pair[0] == i_pair[1])
+    (i_state, _, e_state), e_acted, j_both = _decouple(sc, s, arrival)
+    hit_e = acted = int(e_acted)
+    arrivals = 1
     if not hit_e:
-        t_jump, _, arr2, act2 = _evolve_E(clocks, e_pair, t, T, buf, stop_on_jump=True)
+        t_jump, _, arr, act, _ = _walk(sc, buf, t, T, e_state, "E", True)
         hit_e = int(t_jump is not None)
-        arrivals += arr2
-        acted += act2
-    if not hit_i:
-        t_meet, _ = _evolve_I(clocks, i_pair, t, T, buf, stop_on_meet=True)
-        hit_i = int(t_meet is not None)
-    return hit_i, hit_e, hit_j, arrivals, acted
+        arrivals += arr
+        acted += act
+    t_meet = _walk(sc, buf, t, T, i_state, "I", True)[0]
+    return int(t_meet is not None), hit_e, int(j_both), arrivals, acted
 
 
 def estimate_g(
@@ -340,26 +307,23 @@ def estimate_g(
     """Monte Carlo g2, gbar2, gbarbar2 over n runs of the triple construction."""
     require_simulatable(fam)
     lat = fam.lattice
-    p = (lat.wrap(x[0]), lat.wrap(x[1]))
-    if p[0] == p[1]:
+    p1, p2 = lat.wrap(x[0]), lat.wrap(x[1])
+    if p1 == p2:
         raise ValueError("the two tagged points must differ")
-    clocks = _site_clocks(fam)
-    runs = [_g_one_run(clocks, p, T, substream(seed, i)) for i in range(n)]
-    ci = ce = cj = arrivals = acted = 0
-    e_wo_j = i_wo_j = i_wo_e = 0
-    for hit_i, hit_e, hit_j, arr, act in runs:
-        ci += hit_i
-        ce += hit_e
-        cj += hit_j
-        arrivals += arr
-        acted += act
-        e_wo_j += int(hit_e and not hit_j)
-        i_wo_j += int(hit_i and not hit_j)
-        i_wo_e += int(hit_i and not hit_e)
-    if e_wo_j:
-        raise PropertyViolation("E had a both-point jump in a run where J had none")
-    if i_wo_j:
-        raise PropertyViolation("I met in a run where J had no both-point jump")
+    sc = _site_clocks(fam)
+    s = np.array([p1, np.subtract(p2, p1)])
+    runs = []
+    for i in range(n):
+        runs.append(_g_one_run(sc, s, T, substream(seed, i)))
+        hit_i, hit_e, hit_j, _, _ = runs[-1]
+        if hit_e and not hit_j:
+            raise _violation("E had a both-point jump in a run where J had none",
+                             fam, seed, replica=i)
+        if hit_i and not hit_j:
+            raise _violation("I met in a run where J had no both-point jump",
+                             fam, seed, replica=i)
+    ci, ce, cj, arrivals, acted = (sum(col) for col in zip((0,) * 5, *runs))
+    i_wo_e = sum(hit_i and not hit_e for hit_i, hit_e, *_ in runs)
     return GEstimates(
         g2=Estimate.from_bernoulli(ci, n),
         gbar2=Estimate.from_bernoulli(ce, n),
@@ -368,8 +332,8 @@ def estimate_g(
         n_runs=n,
         both_cover_arrivals=arrivals,
         e_acted=acted,
-        runs_E_without_J=e_wo_j,
-        runs_I_without_J=i_wo_j,
+        runs_E_without_J=0,
+        runs_I_without_J=0,
         runs_I_without_E=i_wo_e,
     )
 
@@ -814,15 +778,15 @@ def _couple(A0, B0, fam, T, seed, rule, stop_at_couple, record_history) -> Coupl
         n += 1
         if D_after > D_before:
             raise _violation(f"discrepancy count increased {D_before} -> {D_after}",
-                             fam, seed, t, n)
+                             fam, seed, t=t, event=n)
         if dp.bit_count() - dm.bit_count() != gap:
-            raise _violation(f"particle-count gap A - B changed from {gap}", fam, seed, t, n)
+            raise _violation(f"particle-count gap A - B changed from {gap}", fam, seed, t=t, event=n)
         if blk is not None and ((dp & info.mask).bit_count() > dp_r
                                 and (dm & info.mask).bit_count() > dm_r):
             raise _violation("both discrepancy types increased on the fired range",
-                             fam, seed, t, n)
+                             fam, seed, t=t, event=n)
         if dominance and dm:
-            raise _violation("initial dominance A >= B was lost", fam, seed, t, n)
+            raise _violation("initial dominance A >= B was lost", fam, seed, t=t, event=n)
         if record_history:
             history.append(CouplingEvent(t, label, info.rid, D_before, D_after))
         if not D_after:

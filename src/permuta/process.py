@@ -189,6 +189,15 @@ class _SiteClocks:
     holds x.  The clocks of one site add up to M_PL, and each expanded
     permutation is proposed once by every site of its range.  Base
     permutations are kept wrapped, so the same code runs on tori and on Z^d.
+
+    Two tagged points p1, p2 are kept as the state rows (p1, d), d = p2 - p1.
+    When the clock of point l + 1 (l = 0, 1) rings with anchor a, the state
+    changes by ``move1[l, a]`` if the range misses the other point.  If it
+    holds both, ``both[l, sep_index(d), a]`` is set and the state changes by
+    ``move2[l, sep_index(d), a]``.  Row sep_index(d) is the one of e = other
+    - ringer (d for label 1, -d for label 2): a row per separation on a
+    torus, and on Z^d per separation in a box one step wider than the widest
+    range, where farther separations clip to its edge rows (no cover there).
     """
 
     def __init__(self, fam: RateFamily):
@@ -205,6 +214,36 @@ class _SiteClocks:
         self.alias = AliasTable(weights)
         self.M_PL = self.alias.total
 
+        dim, n = lat.dimension, len(self.anchors)
+        if lat.is_torus:
+            self._shape = np.array(lat.dims)
+        else:
+            span = np.array([np.ptp(R, axis=0) for R in self.ranges]).max(axis=0)
+            self._reach = span + 1
+            self._shape = 2 * span + 3
+        self._strides = np.cumprod(np.append(self._shape[1:], 1)[::-1])[::-1]
+        self.zero = int(self.sep_index(np.zeros((1, dim), dtype=np.int64))[0])
+        self.move1 = np.zeros((2, n, 2, dim), dtype=np.int32)
+        self.move2 = np.zeros((2, int(self._shape.prod()), n, 2, dim), dtype=np.int32)
+        for a, (b, r) in enumerate(self.anchors):
+            step = np.subtract(self.base[b](r), r)  # displacement of the ringing point
+            self.move1[:, a] = [(step, -step), (0 * step, step)]
+            for x in self.ranges[b]:
+                other = np.subtract(self.base[b](x), x)
+                e = np.subtract(x, r)
+                i1, i2 = self.sep_index(np.array([e, -e]))
+                self.move2[0, i1, a] = (step, other - step)
+                self.move2[1, i2, a] = (other, step - other)
+        self.both = self.move2[..., 0, :].any(axis=-1)  # p1 moves on every both-point move
+
+    def sep_index(self, d: np.ndarray) -> np.ndarray:
+        """Row of the both-cover table of each separation in ``d`` (k, dim)."""
+        if self.lat.is_torus:
+            d = d % self._shape
+        else:
+            d = np.minimum(np.maximum(d, -self._reach), self._reach) + self._reach
+        return d @ self._strides
+
     def ring(self, sites: Sequence[Site], u: float) -> Tuple[int, int, Site]:
         """The next clock to ring among the clocks of ``sites``, from one
         uniform: (slot i of its site, base b, shift v of the proposal)."""
@@ -212,10 +251,6 @@ class _SiteClocks:
         i = int(scaled)
         b, r = self.anchors[self.alias.draw_u(scaled - i)]
         return i, b, self.lat.wrap(tuple(a - c for a, c in zip(sites[i], r)))
-
-    def covers(self, b: int, v: Site, x: Site) -> bool:
-        """Whether base b shifted by v has x in its range."""
-        return self.lat.wrap(tuple(a - c for a, c in zip(x, v))) in self.ranges[b]
 
     def apply_point(self, b: int, v: Site, x: Site) -> Site:
         """Image of site x under base b shifted by v."""
@@ -228,11 +263,12 @@ def _site_clocks(fam: RateFamily) -> _SiteClocks:
     return _SiteClocks(fam)
 
 
-def _violation(what: str, fam: RateFamily, seed: int, t: float, event: int) -> PropertyViolation:
-    """An invariant failure carrying what a replay needs; ``event`` is the
-    1-based number of the event that broke it."""
-    return PropertyViolation(
-        f"{what} (family {family_hash(fam)[:12]}, seed={seed}, t={t!r}, event={event})")
+def _violation(what: str, fam: RateFamily, seed: int, **where) -> PropertyViolation:
+    """An invariant failure carrying what a replay needs: the family hash
+    prefix, the seed and ``where`` it broke, such as t, the 1-based number
+    of the event or the replica."""
+    at = "".join(f", {k}={v!r}" for k, v in where.items())
+    return PropertyViolation(f"{what} (family {family_hash(fam)[:12]}, seed={seed}{at})")
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +319,7 @@ def _advance(comp: _Compiled, word: int, t: float, T: float, buf: DrawBuffer,
         for j, eid in enumerate(ids.tolist()):
             word = permute_bits(pairs[eid], masks[eid], word)
             if word.bit_count() != count0:  # bijections cannot do this
-                raise _violation("particle count changed", fam, seed, float(times[j]), n + j + 1)
+                raise _violation("particle count changed", fam, seed, t=float(times[j]), event=n + j + 1)
         n += k
         if sink is not None:
             sink(ids, times[:k])
@@ -360,7 +396,7 @@ def run_finite(
             slot_of[slots[j]] = j
         n += 1
         if len(slot_of) != len(slots):
-            raise _violation("dual support size changed", fam, seed, t, n)
+            raise _violation("dual support size changed", fam, seed, t=t, event=n)
         if record_events:
             events.append((t, b, v))
     return Trajectory(seed, T, tuple(events), DualState(lat, frozenset(slots)), n)

@@ -3,11 +3,11 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import permuta as P
 from permuta import coupling, process
-from permuta.coupling import _next_arrival
 from permuta.process import _site_clocks, permute_bits
 from permuta.sampling import DrawBuffer, substream
 from conftest import (
@@ -267,26 +267,239 @@ def test_next_arrival_first_arrival_law(fam, p2):
     ref = _pair_reference(fam, p1, p2)
     total = sum(ref.values())
     assert total == 2 * P.compute_M_PL(fam)
-    clocks = _site_clocks(fam)
+    sc = _site_clocks(fam)
+    lat = fam.lattice
     buf = DrawBuffer(substream(61))
+    s0 = np.array([p1, np.subtract(p2, p1)])
     n = 20000
     hits = {key: 0 for key in ref}
     both = label1 = 0
     t_sum = 0.0
+    seen = []
+
+    def sink(rule, times, lab, anchor, path):
+        seen.extend(zip(times.tolist(), lab.tolist(), anchor.tolist(),
+                        sc.both[lab, sc.sep_index(path[:-1, 1]), anchor].tolist(),
+                        path[1:].tolist()))
+
     for _ in range(n):
-        t, (bidx, v, covers, label) = _next_arrival(clocks, (p1, p2), 0.0, math.inf, buf)
+        # a horizon at the first arrival's time: the walk settles that arrival alone
+        T = buf.blocks()[0][0] / (2 * sc.M_PL)
+        seen.clear()
+        coupling._walk(sc, buf, 0.0, T, s0, "I", False, sink)
+        (t, lab, a, cover, (q1, dq)), = seen
+        bidx, r = sc.anchors[a]
+        v = lat.wrap(tuple(c - d for c, d in zip((p1, p2)[lab], r)))
+        covers = 3 if cover else 1 << lab
+        # the clock that rang moves its own point only (rule I)
+        moved = sc.apply_point(bidx, v, (p1, p2)[lab])
+        assert (lat.wrap(q1), lat.shift(q1, dq)) == ((moved, p2) if lab == 0 else (p1, moved))
         hits[(bidx, v, covers)] += 1
         t_sum += t
-        assert covers >> (label - 1) & 1  # the clock that rang is covered
         if covers == 3:
             both += 1
-            label1 += int(label == 1)
+            label1 += int(lab == 0)
     for key, w in ref.items():
         p = w / total
         assert abs(hits[key] / n - p) < 4 * math.sqrt(p * (1 - p) / n), key
     assert abs(t_sum / n - 1 / total) < 4 * (1 / total) / math.sqrt(n)
     if both:
         assert abs(label1 / both - 0.5) < 4 * math.sqrt(0.25 / both)
+
+
+def _scalar_arrival(clocks, pair, t, T, buf):
+    """Reference: the next ring of the two points' site clocks, one draw at a
+    time: (t, None) past T, else (t, (base, shift, covers, label))."""
+    t += buf.std_exponential() / (2 * clocks.M_PL)
+    if t > T:
+        return t, None
+    i, b, v = clocks.ring(pair, buf.uniform())
+    lat = clocks.lat
+    covers = sum(1 << k for k, x in enumerate(pair)
+                 if lat.wrap(tuple(a - c for a, c in zip(x, v))) in clocks.ranges[b])
+    return t, (b, v, covers, i + 1)
+
+
+def scalar_walk(clocks, pair, t, T, buf, rule, stop, sink=None):
+    """Reference: one rule of the triple one arrival at a time, the loops the
+    block kernel replaced.  Returns (t_hit, pair, both-cover arrivals, E
+    acts, decoupling arrival) with t_hit as ``coupling._walk`` defines it."""
+    t_hit = t if rule == "I" and pair[0] == pair[1] else None
+    both = acts = 0
+    if t_hit is not None and stop:
+        return t_hit, pair, both, acts, None
+    while True:
+        t, hit = _scalar_arrival(clocks, pair, t, T, buf)
+        if hit is None:
+            return t_hit, pair, both, acts, None
+        b, v, covers, label = hit
+        act = None
+        if covers == 3 and rule != "I":
+            both += 1
+            if rule == "shared":
+                return t, pair, both, acts, (b, v, label)
+            act = rule == "J" or label == 1
+            if act:
+                acts += 1
+                pair = tuple(clocks.apply_point(b, v, x) for x in pair)
+                t_hit = t if t_hit is None else t_hit
+        else:
+            moved = clocks.apply_point(b, v, pair[label - 1])
+            pair = (moved, pair[1]) if label == 1 else (pair[0], moved)
+        if sink is not None:
+            sink(coupling.TripleEvent(t, rule, covers, label, act if rule == "E" else None), pair)
+        if rule == "I" and t_hit is None and pair[0] == pair[1]:
+            t_hit = t
+        if t_hit is not None and stop:
+            return t_hit, pair, both, acts, None
+
+
+def _scalar_decouple(clocks, pair, arrival):
+    b, v, label = arrival
+    j_pair = tuple(clocks.apply_point(b, v, x) for x in pair)
+    moved = clocks.apply_point(b, v, pair[label - 1])
+    i_pair = (moved, pair[1]) if label == 1 else (pair[0], moved)
+    return i_pair, j_pair, j_pair if label == 1 else pair
+
+
+def scalar_triple(x, fam, T, seed):
+    """Reference ``run_triple``: (events, history, final, counters)."""
+    clocks = _site_clocks(fam)
+    buf = DrawBuffer(substream(seed))
+    lat = fam.lattice
+    events, history = [], []
+
+    def shared(ev, p):
+        events.append(ev)
+        history.append(P.TripleState(p, p, p, False, None))
+    pair = (lat.wrap(x[0]), lat.wrap(x[1]))
+    T_dec, pair, _, _, arrival = scalar_walk(clocks, pair, 0.0, T, buf, "shared", True, shared)
+    counters = {"shared_events": len(events), "both_cover_arrivals": 0,
+                "e_acted": 0, "i_met": 0, "e_jumped": 0, "j_jumped": 0}
+    if arrival is None:
+        return events, history, P.TripleState(pair, pair, pair, False, None), counters
+    pairs = dict(zip("IJE", _scalar_decouple(clocks, pair, arrival)))
+    e_acted = arrival[2] == 1
+    events.append(coupling.TripleEvent(T_dec, "shared", 3, arrival[2], e_acted))
+    history.append(P.TripleState(*pairs.values(), True, T_dec))
+    timeline, final = [], {}
+    out = {}
+    for proc in "IJE":
+        out[proc] = scalar_walk(clocks, pairs[proc], T_dec, T, buf, proc, False,
+                                lambda ev, p: timeline.append((ev, p)))
+        final[proc] = out[proc][1]
+    counters.update(both_cover_arrivals=1 + out["E"][2], e_acted=int(e_acted) + out["E"][3],
+                    i_met=int(out["I"][0] is not None), j_jumped=1,
+                    e_jumped=int(e_acted or out["E"][0] is not None))
+    timeline.sort(key=lambda item: item[0].t)
+    for ev, p in timeline:
+        events.append(ev)
+        pairs[ev.process] = p
+        history.append(P.TripleState(*pairs.values(), True, T_dec))
+    return events, history, P.TripleState(*final.values(), True, T_dec), counters
+
+
+def scalar_g(x, fam, T, n, seed):
+    """Reference ``estimate_g(...).to_dict()``."""
+    clocks = _site_clocks(fam)
+    lat = fam.lattice
+    ci = ce = cj = arrivals = acted = i_wo_e = 0
+    for i in range(n):
+        buf = DrawBuffer(substream(seed, i), block=1024)
+        pair = (lat.wrap(x[0]), lat.wrap(x[1]))
+        t, pair, _, _, arrival = scalar_walk(clocks, pair, 0.0, T, buf, "shared", True)
+        if arrival is None:
+            continue
+        i_pair, _, e_pair = _scalar_decouple(clocks, pair, arrival)
+        hit_e = int(arrival[2] == 1)
+        arrivals, acted, cj = arrivals + 1, acted + hit_e, cj + 1
+        if not hit_e:
+            t_jump, _, arr, act, _ = scalar_walk(clocks, e_pair, t, T, buf, "E", True)
+            hit_e, arrivals, acted = int(t_jump is not None), arrivals + arr, acted + act
+        hit_i = int(scalar_walk(clocks, i_pair, t, T, buf, "I", True)[0] is not None)
+        ci, ce, i_wo_e = ci + hit_i, ce + hit_e, i_wo_e + int(hit_i and not hit_e)
+    est = {name: {"mean": e.mean, "std_error": e.std_error, "n": e.n_samples} for name, e in
+           (("g2", P.Estimate.from_bernoulli(ci, n)), ("gbar2", P.Estimate.from_bernoulli(ce, n)),
+            ("gbarbar2", P.Estimate.from_bernoulli(cj, n)))}
+    return {**est, "horizon": T, "n_runs": n, "both_cover_arrivals": arrivals, "e_acted": acted,
+            "runs_E_without_J": 0, "runs_I_without_J": 0, "runs_I_without_E": i_wo_e}
+
+
+TRIPLE_CASES = [
+    (three_cycles(), ((0,), (1,)), 40.0, 60),
+    (three_cycles(), ((0,), (2,)), 40.0, 60),
+    (three_cycles(), ((0,), (5,)), 200.0, 40),
+    (axis_three_cycles_3d(), ((0, 0, 0), (1, 0, 0)), 10.0, 30),
+    (three_cycles(8), ((0,), (1,)), 100.0, 200),
+    (three_cycles(20), ((3,), (-2,)), 150.0, 100),
+    (three_cycles(9, rate=1.0, rate_inverse=3.0), ((0,), (2,)), 60.0, 100),
+    (three_cycles(rate=0.7, rate_inverse=1.9), ((0,), (4,)), 60.0, 60),
+    (three_cycles(), ((0,), (1,)), 0.0, 20),
+    (three_cycles(), ((0,), (5,)), 0.7, 100),  # ends inside the first chunk
+    (three_cycles(), ((0,), (5,)), 250.0, 20),  # long runs refill 1024-draw blocks often
+]
+TRIPLE_IDS = ["Z-sep1", "Z-sep2", "Z-sep5", "Z3", "L8", "L20", "mixed-L9", "mixed-Z",
+              "T0", "T-mid-chunk", "T-refills"]
+
+
+@pytest.mark.parametrize("fam, x, T, n", TRIPLE_CASES, ids=TRIPLE_IDS)
+def test_estimate_g_equals_scalar_reference(fam, x, T, n):
+    assert P.estimate_g(x, fam, T, n, 13).to_dict() == scalar_g(x, fam, T, n, 13)
+
+
+@pytest.mark.parametrize("fam, x, T, n", TRIPLE_CASES, ids=TRIPLE_IDS)
+def test_run_triple_equals_scalar_reference(fam, x, T, n):
+    for seed in (1, 2, 3):
+        events, history, final, counters = scalar_triple(x, fam, T, seed)
+        res = P.run_triple(x, fam, T, seed)
+        assert res.events == tuple(events)
+        assert res.history == tuple(history)
+        assert (res.final, res.counters) == (final, counters)
+        bare = P.run_triple(x, fam, T, seed, record_history=False)
+        assert (bare.events, bare.history, bare.final) == (res.events, (), final)
+
+
+@pytest.fixture
+def one_point_jumps(monkeypatch, fam8):
+    """The triple table of the L=8 family with every both-point move replaced
+    by the ringing point's move alone, so J never moves the other point."""
+    sc = _site_clocks(fam8)
+    lazy = np.broadcast_to(sc.move1[:, None], sc.move2.shape)
+    monkeypatch.setattr(sc, "move2", lazy)
+    return fam8
+
+
+def test_run_triple_violations_carry_replay_context(one_point_jumps):
+    fam = one_point_jumps
+    messages = {}
+    for seed in range(200):
+        try:
+            P.run_triple(((0,), (1,)), fam, 2.0, seed, record_history=False)
+        except P.PropertyViolation as exc:
+            messages.setdefault(str(exc).split(" (")[0], (seed, str(exc)))
+    assert set(messages) == {"E had a both-point jump before J",
+                             "I met before J had a both-point jump"}
+    for seed, msg in messages.values():
+        assert f"seed={seed})" in msg and P.family_hash(fam)[:12] in msg
+
+
+def test_estimate_g_violations_carry_replay_context(one_point_jumps):
+    fam = one_point_jumps
+    messages = {}
+    for seed in range(40):
+        try:
+            P.estimate_g(((0,), (1,)), fam, 2.0, 50, seed)
+        except P.PropertyViolation as exc:
+            messages.setdefault(str(exc).split(" (")[0], (seed, str(exc)))
+    assert set(messages) == {"E had a both-point jump in a run where J had none",
+                             "I met in a run where J had no both-point jump"}
+    for seed, msg in messages.values():
+        assert f"seed={seed}," in msg and P.family_hash(fam)[:12] in msg
+        replica = int(re.search(r"replica=(\d+)\)", msg).group(1))
+        if replica:
+            P.estimate_g(((0,), (1,)), fam, 2.0, replica, seed)  # the runs before it pass
+        with pytest.raises(P.PropertyViolation, match=f"replica={replica}"):
+            P.estimate_g(((0,), (1,)), fam, 2.0, replica + 1, seed)
 
 
 def test_triple_state_guards_mismatch():
