@@ -1,9 +1,10 @@
 """Exact finite-state verification on small tori.
 
-Everything here works on the full configuration space of a torus encoded as
-bit words, so it is the oracle side of the package: generator matrices,
-stationarity residuals, particle-count sector solves, and duality computed
-two independent ways through uniformized semigroups.
+Configurations are bit words, and this is the oracle side of the package:
+generator matrices, stationarity residuals, particle-count sector solves, and
+duality computed two independent ways through uniformized semigroups.  One
+assembly builds a generator on all 2^N words or on one particle-count sector,
+which the chain never leaves (``duality_exact`` works on sectors only).
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ TOL_DUALITY = 1e-9
 _DENSE_SITE_CAP = 16
 _SPARSE_SITE_CAP = 22
 _SECTOR_SOLVE_CAP = 4096
+_SECTOR_STATE_CAP = math.comb(20, 10)  # states per sector evolved by duality_exact
+_BLOCK = 4096  # words per block of generator rows
 _LOG_TINY = -700.0  # uniformization starts at the first Poisson weight above e^-700
 
 
@@ -57,9 +60,51 @@ class SectorDistribution:
         return {"n": self.n, "words": self.words.tolist(), "probs": self.probs.tolist()}
 
 
+def _assemble(fam: RateFamily, words: np.ndarray, sector: bool) -> sp.csr_matrix:
+    """Generator on the ascending ``words``, a block of rows at a time: entry
+    (w, w') sums the rates sending w to w' != w in expanded-permutation order,
+    the diagonal balances each row.  Columns are image words on all 2^N words,
+    or positions among ``words`` on a sector (PropertyViolation if outside)."""
+    comp = _compiled(fam) if fam.base else None  # an empty family: a zero matrix
+    moves = list(zip(comp.pairs, comp.masks, comp.rates)) if comp else []
+    P, n = len(moves), words.size
+    shift = P.bit_length()
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    cols, vals = [], []
+    for lo in range(0, n, _BLOCK):
+        w = words[lo:lo + _BLOCK]
+        img = np.empty((w.size, P + 1), dtype=np.int64)
+        val = np.zeros(img.shape)
+        for p, (pairs, mask, q) in enumerate(moves):
+            img[:, p] = permute_bits(pairs, mask, w)
+            val[:, p] = (img[:, p] != w) * q
+            val[:, P] -= val[:, p]  # the diagonal, in expanded-permutation order
+        img[:, P] = w
+        if sector:
+            col = np.searchsorted(words, img)
+            out = words[np.minimum(col, n - 1)] != img
+            if out.any():
+                r, p = np.argwhere(out)[0]
+                raise PropertyViolation(f"permutation {p} sends word {w[r]} to {img[r, p]}, outside its sector")
+            img = col
+        # sort each row by column, ties in row order: the position rides in the low bits
+        key = (img << shift) | np.arange(P + 1)
+        key.sort(axis=1)
+        img, val = key >> shift, np.take_along_axis(val, key & ((1 << shift) - 1), axis=1)
+        first = np.ones(img.shape, dtype=bool)
+        first[:, 1:] = img[:, 1:] != img[:, :-1]
+        starts = np.flatnonzero(first)
+        sums = np.add.reduceat(val.ravel(), starts)
+        starts, sums = starts[sums != 0.0], sums[sums != 0.0]
+        indptr[lo + 1:lo + w.size + 1] = np.bincount(starts // (P + 1), minlength=w.size)
+        cols.append(img.ravel()[starts].astype(np.int32))
+        vals.append(sums)
+    np.cumsum(indptr, out=indptr)
+    return sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr), shape=(n, n))
+
+
 def build_generator(fam: RateFamily, sparse: bool = False) -> GeneratorMatrix:
-    """Assemble the full generator; entry (w, w') sums the rates of expanded
-    permutations sending w to w' != w, diagonal balancing each row to zero."""
+    """The generator on all 2^N words; the dense mode writes the CSR out."""
     lat = fam.lattice
     if not lat.is_torus:
         raise ValueError("exact computations need a torus")
@@ -67,30 +112,8 @@ def build_generator(fam: RateFamily, sparse: bool = False) -> GeneratorMatrix:
     cap = _SPARSE_SITE_CAP if sparse else _DENSE_SITE_CAP
     if N > cap:
         raise TooLarge(f"{N} sites exceeds the {'sparse' if sparse else 'dense'} cap of {cap}")
-    S = 1 << N
-    if not fam.base:
-        Q = sp.csr_matrix((S, S)) if sparse else np.zeros((S, S))
-        return GeneratorMatrix(Q, N, sparse)
-    comp = _compiled(fam)
-    words = np.arange(S, dtype=np.int64)
-    rows, cols, vals = [], [], []
-    for pairs, mask, q in zip(comp.pairs, comp.masks, comp.rates):
-        img = permute_bits(pairs, mask, words)
-        moved = img != words
-        rows.append(words[moved])
-        cols.append(img[moved])
-        vals.append(np.full(rows[-1].shape, float(q)))
-    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-    # entries accumulate in expanded-permutation order, as separate += would
-    diag = np.zeros(S)
-    np.add.at(diag, rows, -vals)
-    if sparse:
-        Q = sp.coo_matrix((vals, (rows, cols)), shape=(S, S)).tocsr() + sp.diags(diag)
-        return GeneratorMatrix(Q.tocsr(), N, True)
-    Q = np.zeros((S, S))
-    np.add.at(Q, (rows, cols), vals)
-    Q[words, words] = diag
-    return GeneratorMatrix(Q, N, False)
+    Q = _assemble(fam, np.arange(1 << N, dtype=np.int64), sector=False)
+    return GeneratorMatrix(Q if sparse else Q.toarray(), N, sparse)
 
 
 def product_measure_vector(rho: float, N: int) -> np.ndarray:
@@ -116,8 +139,12 @@ def stationarity_residual(nu: np.ndarray, G: GeneratorMatrix) -> float:
 
 
 def _sector_words(N: int, n: int) -> np.ndarray:
-    words = np.arange(1 << N, dtype=np.int64)
-    return words[np.bitwise_count(words.astype(np.uint64)).astype(np.int64) == n]
+    """The C(N, n) words with n of N bits set, ascending."""
+    by_count = [np.zeros(1, dtype=np.int64)] + [np.zeros(0, dtype=np.int64)] * n
+    for m in range(N):  # words with bit m clear (all smaller) first, then with it set
+        by_count = by_count[:1] + [np.concatenate([c, d | (1 << m)])
+                                   for c, d in zip(by_count[1:], by_count)]
+    return by_count[n]
 
 
 def sector_stationary(G: GeneratorMatrix, n: int) -> SectorDistribution:
@@ -132,10 +159,12 @@ def sector_stationary(G: GeneratorMatrix, n: int) -> SectorDistribution:
     idx = _sector_words(N, n)
     if idx.size > _SECTOR_SOLVE_CAP:
         raise TooLarge(f"sector has {idx.size} states, dense solve capped at {_SECTOR_SOLVE_CAP}")
-    rows = sp.csr_matrix(G.Q)[idx]
-    sub = rows[:, idx].toarray()
-    # closure: all off-sector mass in these rows must vanish
-    leak = np.asarray(abs(rows).sum(axis=1)).ravel() - np.abs(sub).sum(axis=1)
+    sub = G.Q[np.ix_(idx, idx)]
+    sub = sub.toarray() if G.sparse else sub
+    # closure: no mass may leave these rows (read in blocks: dense rows are 2^N wide)
+    mass = [np.asarray(abs(G.Q[idx[lo:lo + 256]]).sum(axis=1)).ravel()
+            for lo in range(0, idx.size, 256)]
+    leak = np.concatenate(mass) - np.abs(sub).sum(axis=1)
     if idx.size and leak.size and leak.max() > TOL_STRUCTURAL:
         raise PropertyViolation(f"sector leaks mass {leak.max()} outside itself")
     if idx.size == 1:
@@ -200,14 +229,19 @@ def _uniformized(v: np.ndarray, M, t: float, tol: float = 1e-12,
         cum += w
 
 
-def _subset_law(G: GeneratorMatrix, mask: int, t: float, extra_terms: int = 0):
-    """Law at time t of the subset chain started from the set with bit mask
-    ``mask``: the words of its particle-count sector and their probabilities."""
-    idx = _sector_words(G.n_sites, mask.bit_count())
-    sub = G.Q[idx][:, idx]
-    q0 = np.zeros(idx.size)
-    q0[int(np.searchsorted(idx, mask))] = 1.0
-    return idx, _uniformized(q0, sub.T, t, extra_terms=extra_terms)
+def _sector(fam: RateFamily, n: int):
+    """The n-particle sector: its ascending words and its generator."""
+    words = _sector_words(fam.lattice.n_sites, n)
+    return words, _assemble(fam, words, sector=True)
+
+
+def _sector_law(sector, word: int, t: float, extra_terms: int = 0) -> np.ndarray:
+    """Law at time t on ``sector`` (words, generator) of the chain started
+    from ``word``: a configuration, or the bit mask of a set (subset chain)."""
+    words, Q = sector
+    q0 = np.zeros(words.size)
+    q0[int(np.searchsorted(words, word))] = 1.0
+    return _uniformized(q0, Q.T, t, extra_terms=extra_terms)
 
 
 def duality_exact(
@@ -218,8 +252,9 @@ def duality_exact(
     extra_terms: int = 0,
 ) -> Tuple[float, float]:
     """Both sides of the duality identity, each through its own uniformized
-    semigroup: the full configuration chain from eta0 versus the |A|-subset
-    chain from A.  For symmetric families the two numbers agree."""
+    semigroup: the configuration chain from eta0 on eta0's particle-count
+    sector versus the |A|-subset chain from A.  For symmetric families the
+    two numbers agree.  Each sector is capped at C(20, 10) states."""
     if not check_symmetry(fam):
         raise NotSymmetric("exact duality needs a symmetric family")
     lat = fam.lattice
@@ -228,23 +263,17 @@ def duality_exact(
     if eta0.lattice != lat:
         raise ValueError("initial configuration lives on a different lattice")
     N = lat.n_sites
-    if N > _DENSE_SITE_CAP:
-        raise TooLarge(f"{N} sites exceeds the duality cap of {_DENSE_SITE_CAP}")
     dual = A if isinstance(A, DualState) else DualState.of(lat, A)
-    mask = 0
-    for s in dual.sites:
-        mask |= 1 << lat.index(s)
-    G = build_generator(fam, sparse=True)
-    S = 1 << N
-
-    p0 = np.zeros(S)
-    p0[eta0.word] = 1.0
-    pT = _uniformized(p0, G.Q.T, t, extra_terms=extra_terms)
-    words = np.arange(S, dtype=np.int64)
-    lhs = float(pT[(words & mask) == mask].sum())
-
-    idx, qT = _subset_law(G, mask, t, extra_terms=extra_terms)
-    rhs = float(qT[(idx & ~eta0.word) == 0].sum())
+    mask = sum(1 << lat.index(s) for s in dual.sites)
+    states = max(math.comb(N, eta0.word.bit_count()), math.comb(N, mask.bit_count()))
+    if N > 63 or states > _SECTOR_STATE_CAP:
+        raise TooLarge(f"{states} sector states on {N} sites: capped at {_SECTOR_STATE_CAP} and 63")
+    sector = _sector(fam, eta0.word.bit_count())
+    pT = _sector_law(sector, eta0.word, t, extra_terms)
+    lhs = float(pT[(sector[0] & mask) == mask].sum())
+    sector = _sector(fam, mask.bit_count())
+    qT = _sector_law(sector, mask, t, extra_terms)
+    rhs = float(qT[(sector[0] & ~eta0.word) == 0].sum())
     return lhs, rhs
 
 
@@ -289,6 +318,7 @@ def asymmetric_duality_falsifier(fam: RateFamily, t: float) -> FalsifierReport:
 
     masks = [1 << i for i in range(N)]
     masks += [(1 << i) | (1 << j) for i in range(N) for j in range(i + 1, N)]
+    sectors = {k: _sector(fam, k) for k in {m.bit_count() for m in masks}}
 
     best_gap = -1.0
     best: Optional[Tuple[int, int, float, float]] = None
@@ -298,9 +328,9 @@ def asymmetric_duality_falsifier(fam: RateFamily, t: float) -> FalsifierReport:
         f = ((words & mask) == mask).astype(float)
         lhs_vec = _uniformized(f, G.Q, t)
         # rhs(eta0): subset-chain law out of A, then a subset-sum over eta0
-        idx, qT = _subset_law(G, mask, t)
+        sector = sectors[mask.bit_count()]
         r_full = np.zeros(S)
-        r_full[idx] = qT
+        r_full[sector[0]] = _sector_law(sector, mask, t)
         for i in range(N):
             has = ((words >> i) & 1).astype(bool)
             r_full[has] += r_full[words[has] ^ (1 << i)]

@@ -1,13 +1,93 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 import permuta as P
 from conftest import one_way_three_cycles, swaps, three_cycles
-from permuta.exact import _uniformized
+from permuta import exact
+from permuta.exact import _assemble, _sector_words, _uniformized
+from permuta.process import _compiled, permute_bits
+
+
+def coo_generator(fam, sparse):
+    """Reference generator: global COO triplets in expanded-permutation order,
+    summed by scipy (sparse) or by np.add.at (dense)."""
+    S = 1 << fam.lattice.n_sites
+    if not fam.base:
+        return sp.csr_matrix((S, S)) if sparse else np.zeros((S, S))
+    comp = _compiled(fam)
+    words = np.arange(S, dtype=np.int64)
+    rows, cols, vals = [], [], []
+    for pairs, mask, q in zip(comp.pairs, comp.masks, comp.rates):
+        img = permute_bits(pairs, mask, words)
+        moved = img != words
+        rows.append(words[moved])
+        cols.append(img[moved])
+        vals.append(np.full(rows[-1].shape, float(q)))
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    diag = np.zeros(S)
+    np.add.at(diag, rows, -vals)
+    if sparse:
+        return (sp.coo_matrix((vals, (rows, cols)), shape=(S, S)).tocsr() + sp.diags(diag)).tocsr()
+    Q = np.zeros((S, S))
+    np.add.at(Q, (rows, cols), vals)
+    Q[words, words] = diag
+    return Q
+
+
+REFERENCE_FAMILIES = {
+    "L6": lambda: three_cycles(6),
+    "L8": lambda: three_cycles(8),
+    "L13": lambda: three_cycles(13),
+    "mixed-L9": lambda: three_cycles(9, rate=1.0, rate_inverse=2.5),
+    "swaps3x4": lambda: swaps(3, 4),
+    "empty": lambda: P.RateFamily(P.Lattice.torus([4]), ()),
+}
+
+
+def csr_equal(A, B):
+    return all(np.array_equal(getattr(A, a), getattr(B, a)) for a in ("indptr", "indices", "data"))
+
+
+@pytest.mark.parametrize("name", REFERENCE_FAMILIES)
+def test_generator_equals_coo_reference(name):
+    fam = REFERENCE_FAMILIES[name]()
+    G = P.build_generator(fam, sparse=True)
+    assert csr_equal(G.Q, coo_generator(fam, sparse=True))
+    D = P.build_generator(fam)
+    assert not D.sparse and np.array_equal(D.Q, coo_generator(fam, sparse=False))
+
+
+@pytest.mark.parametrize("name", REFERENCE_FAMILIES)
+def test_sector_generator_equals_slice(name):
+    fam = REFERENCE_FAMILIES[name]()
+    N = fam.lattice.n_sites
+    G = P.build_generator(fam, sparse=True)
+    words = np.arange(1 << N)
+    for n in range(N + 1):
+        idx = _sector_words(N, n)
+        assert np.array_equal(idx, words[np.bitwise_count(words) == n])
+        assert csr_equal(_assemble(fam, idx, sector=True), G.Q[idx][:, idx])
+
+
+def test_generator_memory_peak():
+    """Rows are assembled in blocks, never as global COO triplets: the traced
+    peak stays within 3x the bytes of the returned CSR."""
+    fam = three_cycles(16)
+    _compiled(fam)
+    tracemalloc.start()
+    try:
+        G = P.build_generator(fam, sparse=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    Q = G.Q
+    assert peak <= 3 * (Q.indptr.nbytes + Q.indices.nbytes + Q.data.nbytes)
 
 
 def test_swap_generator_hand_entries():
@@ -169,6 +249,49 @@ def test_duality_exact_long_horizon(fam8):
         assert abs(rhs - ref) <= 1e-10
         assert abs(lhs - target) <= 1e-9
         assert abs(rhs - target) <= 1e-9
+
+
+def test_duality_exact_sector_L20():
+    """L=20 is past the full-space caps; the 4-particle and |A| sectors are
+    small.  At a large t both sides reach the uniform law of the sector."""
+    fam = three_cycles(20)
+    eta0 = P.Configuration(fam.lattice, 0b1000_0000_1001_0000_0001)
+    for A in [[(0,)], [(0,), (4,)], [(0,), (1,), (19,)]]:
+        lhs, rhs = P.duality_exact(fam, eta0, A, 1.0)
+        assert abs(lhs - rhs) <= 1e-9
+        lhs, rhs = P.duality_exact(fam, eta0, A, 100.0)
+        target = math.comb(4, len(A)) / math.comb(20, len(A))
+        assert abs(lhs - rhs) <= 1e-9
+        assert abs(lhs - target) <= 1e-9
+        assert abs(rhs - target) <= 1e-9
+
+
+def test_duality_exact_sector_cap(monkeypatch):
+    """Half filling at L=24 is C(24, 12) states: TooLarge before any sector
+    word or generator row is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the cap check")
+
+    monkeypatch.setattr(exact, "_sector_words", refuse)
+    monkeypatch.setattr(exact, "_assemble", refuse)
+    fam = three_cycles(24)
+    eta0 = P.Configuration(fam.lattice, (1 << 12) - 1)
+    with pytest.raises(P.TooLarge):
+        P.duality_exact(fam, eta0, [(0,)], 1.0)
+    # a small eta0 sector does not hide a large |A| sector
+    with pytest.raises(P.TooLarge):
+        P.duality_exact(fam, P.Configuration(fam.lattice, 1), [(i,) for i in range(12)], 1.0)
+
+
+def test_duality_exact_leaky_permutation(monkeypatch, fam8):
+    """An image outside the particle-count sector is a PropertyViolation."""
+    def leaky(pairs, mask, words):
+        return permute_bits(pairs, mask, words) | 1
+
+    monkeypatch.setattr(exact, "permute_bits", leaky)
+    eta0 = P.Configuration(fam8.lattice, 0b00101100)
+    with pytest.raises(P.PropertyViolation, match="outside"):
+        P.duality_exact(fam8, eta0, [(1,)], 1.0)
 
 
 def test_duality_exact_rejects_asymmetric():
