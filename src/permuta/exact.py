@@ -31,6 +31,7 @@ _SPARSE_SITE_CAP = 22
 _SECTOR_SOLVE_CAP = 4096
 _SECTOR_STATE_CAP = math.comb(20, 10)  # states per sector evolved by duality_exact
 _BLOCK = 4096  # words per block of generator rows
+_LEAK_ROWS = 256  # full rows read at once by sector_stationary's closure check
 _LOG_TINY = -700.0  # uniformization starts at the first Poisson weight above e^-700
 
 
@@ -91,9 +92,7 @@ def _assemble(fam: RateFamily, words: np.ndarray, sector: bool) -> sp.csr_matrix
         key = (img << shift) | np.arange(P + 1)
         key.sort(axis=1)
         img, val = key >> shift, np.take_along_axis(val, key & ((1 << shift) - 1), axis=1)
-        first = np.ones(img.shape, dtype=bool)
-        first[:, 1:] = img[:, 1:] != img[:, :-1]
-        starts = np.flatnonzero(first)
+        starts = np.flatnonzero(np.diff(img, axis=1, prepend=-1))  # each row's column runs
         sums = np.add.reduceat(val.ravel(), starts)
         starts, sums = starts[sums != 0.0], sums[sums != 0.0]
         indptr[lo + 1:lo + w.size + 1] = np.bincount(starts // (P + 1), minlength=w.size)
@@ -144,6 +143,9 @@ def _sector_words(N: int, n: int) -> np.ndarray:
     for m in range(N):  # words with bit m clear (all smaller) first, then with it set
         by_count = by_count[:1] + [np.concatenate([c, d | (1 << m)])
                                    for c, d in zip(by_count[1:], by_count)]
+        # empty the counts the bits left cannot raise to n: at most C(N, n) words stay
+        for c in range(n - (N - m - 1)):
+            by_count[c] = by_count[c][:0]
     return by_count[n]
 
 
@@ -162,8 +164,8 @@ def sector_stationary(G: GeneratorMatrix, n: int) -> SectorDistribution:
     sub = G.Q[np.ix_(idx, idx)]
     sub = sub.toarray() if G.sparse else sub
     # closure: no mass may leave these rows (read in blocks: dense rows are 2^N wide)
-    mass = [np.asarray(abs(G.Q[idx[lo:lo + 256]]).sum(axis=1)).ravel()
-            for lo in range(0, idx.size, 256)]
+    mass = [np.asarray(abs(G.Q[idx[lo:lo + _LEAK_ROWS]]).sum(axis=1)).ravel()
+            for lo in range(0, idx.size, _LEAK_ROWS)]
     leak = np.concatenate(mass) - np.abs(sub).sum(axis=1)
     if idx.size and leak.size and leak.max() > TOL_STRUCTURAL:
         raise PropertyViolation(f"sector leaks mass {leak.max()} outside itself")
@@ -178,8 +180,7 @@ def sector_stationary(G: GeneratorMatrix, n: int) -> SectorDistribution:
     if nullity != 1:
         raise SectorReducible(f"stationary law not unique (nullity {nullity})")
     M = np.vstack([sub.T, np.ones(idx.size)])
-    b = np.zeros(idx.size + 1)
-    b[-1] = 1.0
+    b = np.r_[np.zeros(idx.size), 1.0]
     pi, *_ = np.linalg.lstsq(M, b, rcond=None)
     if pi.min() < -1e-12:
         raise PropertyViolation(f"stationary solve produced probability {pi.min()}")
@@ -341,8 +342,7 @@ def asymmetric_duality_falsifier(fam: RateFamily, t: float) -> FalsifierReport:
             best_gap = float(gaps[top])
             best = (top, mask, float(lhs_vec[top]), float(r_full[top]))
     found = best_gap > 1e-6
-    eta0_sites = A_sites = None
-    lhs = rhs = None
+    eta0_sites = A_sites = lhs = rhs = None
     if best is not None:
         w, mask, lhs, rhs = best
         eta0_sites = tuple(lat.site_at(i) for i in range(N) if (w >> i) & 1)

@@ -266,6 +266,41 @@ def test_duality_exact_sector_L20():
         assert abs(rhs - target) <= 1e-9
 
 
+def test_sector_words_dense_sector():
+    """A sector with most bits set is built from its own words: the traced
+    peak for the 231 words of C(22, 20) stays under 1 MB, where keeping
+    every count up to 20 would hold about 4.2M words (34 MB)."""
+    N, n = 22, 20
+    tracemalloc.start()
+    try:
+        idx = _sector_words(N, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    full = (1 << N) - 1
+    holes = sorted(full ^ ((1 << i) | (1 << j)) for i in range(N) for j in range(i + 1, N))
+    assert idx.tolist() == holes
+    assert peak <= 1 << 20
+    idx = _sector_words(40, 38)
+    assert idx.size == math.comb(40, 38) and np.all(np.diff(idx) > 0)
+    assert np.all(np.bitwise_count(idx) == 38)
+
+
+def test_duality_exact_dense_sector_L40():
+    """38 particles on L=40 is a sector of C(40, 38) = 780 states, well under
+    the cap; both sides reach C(38, |A|)/C(40, |A|) at a large t."""
+    fam = three_cycles(40)
+    eta0 = P.Configuration(fam.lattice, ((1 << 40) - 1) ^ 0b1001)
+    for A in [[(0,)], [(1,), (3,)]]:
+        lhs, rhs = P.duality_exact(fam, eta0, A, 1.0)
+        assert abs(lhs - rhs) <= 1e-9
+        lhs, rhs = P.duality_exact(fam, eta0, A, 400.0)
+        target = math.comb(38, len(A)) / math.comb(40, len(A))
+        assert abs(lhs - rhs) <= 1e-9
+        assert abs(lhs - target) <= 1e-9
+        assert abs(rhs - target) <= 1e-9
+
+
 def test_duality_exact_sector_cap(monkeypatch):
     """Half filling at L=24 is C(24, 12) states: TooLarge before any sector
     word or generator row is built."""
