@@ -200,8 +200,8 @@ def cmd_couple_bound(args, fam, seed):
 
 
 def cmd_exact_stationarity(args, fam, seed):
-    G = exact.build_generator(fam, sparse=fam.lattice.n_sites > 12)
-    nu = exact.product_measure_vector(args.rho, fam.lattice.n_sites)
+    G = exact.build_generator(fam, sparse=True)
+    nu = exact.product_measure_vector(args.rho, G.n_sites)
     residual = exact.stationarity_residual(nu, G)
     tol = args.tolerance_structural
     return [{"rho": args.rho, "residual": residual, "tolerance": tol,
@@ -211,8 +211,7 @@ def cmd_exact_stationarity(args, fam, seed):
 def cmd_exact_sector(args, fam, seed):
     if args.particles is None:
         raise ValueError("--particles is required (the sector to solve)")
-    G = exact.build_generator(fam, sparse=fam.lattice.n_sites > 12)
-    dist = exact.sector_stationary(G, args.particles)
+    dist = exact.sector_stationary(fam, args.particles)
     gap = float(abs(dist.probs - 1.0 / dist.probs.size).max())
     tol = args.tolerance_solve
     return [{"n": dist.n, "states": int(dist.probs.size),

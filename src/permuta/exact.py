@@ -4,7 +4,8 @@ Configurations are bit words, and this is the oracle side of the package:
 generator matrices, stationarity residuals, particle-count sector solves, and
 duality computed two independent ways through uniformized semigroups.  One
 assembly builds a generator on all 2^N words or on one particle-count sector,
-which the chain never leaves (``duality_exact`` works on sectors only).
+which the chain never leaves (sector solves and ``duality_exact`` work on
+sectors only).
 """
 
 from __future__ import annotations
@@ -26,22 +27,26 @@ TOL_STRUCTURAL = 1e-12
 TOL_SOLVE = 1e-10
 TOL_DUALITY = 1e-9
 
-_DENSE_SITE_CAP = 16
+_DENSE_SITE_CAP = 13  # a 2^13 x 2^13 float64 matrix is 512 MB
 _SPARSE_SITE_CAP = 22
 _SECTOR_SOLVE_CAP = 4096
 _SECTOR_STATE_CAP = math.comb(20, 10)  # states per sector evolved by duality_exact
 _BLOCK = 4096  # words per block of generator rows
-_LEAK_ROWS = 256  # full rows read at once by sector_stationary's closure check
 _LOG_TINY = -700.0  # uniformization starts at the first Poisson weight above e^-700
 
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Generator on the full 2^N configuration space, row-indexed by bit word."""
+    """Generator of ``family`` on the full 2^N configuration space,
+    row-indexed by bit word."""
 
     Q: Union[np.ndarray, sp.csr_matrix]
-    n_sites: int
+    family: RateFamily
     sparse: bool
+
+    @property
+    def n_sites(self) -> int:
+        return self.family.lattice.n_sites
 
     def dense(self) -> np.ndarray:
         return self.Q.toarray() if self.sparse else self.Q
@@ -110,9 +115,10 @@ def build_generator(fam: RateFamily, sparse: bool = False) -> GeneratorMatrix:
     N = lat.n_sites
     cap = _SPARSE_SITE_CAP if sparse else _DENSE_SITE_CAP
     if N > cap:
-        raise TooLarge(f"{N} sites exceeds the {'sparse' if sparse else 'dense'} cap of {cap}")
+        hint = "" if sparse else f" (sparse=True builds up to {_SPARSE_SITE_CAP})"
+        raise TooLarge(f"{N} sites exceeds the {'sparse' if sparse else 'dense'} cap of {cap}{hint}")
     Q = _assemble(fam, np.arange(1 << N, dtype=np.int64), sector=False)
-    return GeneratorMatrix(Q if sparse else Q.toarray(), N, sparse)
+    return GeneratorMatrix(Q if sparse else Q.toarray(), fam, sparse)
 
 
 def product_measure_vector(rho: float, N: int) -> np.ndarray:
@@ -130,11 +136,7 @@ def stationarity_residual(nu: np.ndarray, G: GeneratorMatrix) -> float:
         raise ValueError("distribution length does not match the state space")
     if nu.min() < -1e-12 or abs(nu.sum() - 1.0) > 1e-9:
         raise ValueError("not a probability vector")
-    if G.sparse:
-        res = G.Q.T.dot(nu)
-    else:
-        res = nu @ G.Q
-    return float(np.abs(res).max())
+    return float(np.abs(G.Q.T @ nu).max())
 
 
 def _sector_words(N: int, n: int) -> np.ndarray:
@@ -149,28 +151,34 @@ def _sector_words(N: int, n: int) -> np.ndarray:
     return by_count[n]
 
 
-def sector_stationary(G: GeneratorMatrix, n: int) -> SectorDistribution:
+def _sector(fam: RateFamily, n: int):
+    """The n-particle sector: its ascending words and its generator."""
+    words = _sector_words(fam.lattice.n_sites, n)
+    return words, _assemble(fam, words, sector=True)
+
+
+def sector_stationary(source: Union[RateFamily, GeneratorMatrix], n: int) -> SectorDistribution:
     """Unique stationary law of the n-particle sector via dense solve.
 
-    The sector must be closed (structural) and strongly connected; uniqueness
-    is re-asserted through the nullity of the restricted generator.
+    The sector is assembled from the family (a GeneratorMatrix stands for the
+    one it was built from), which raises PropertyViolation if it is not
+    closed.  It must be strongly connected; uniqueness is re-asserted through
+    the nullity of its generator.
     """
-    N = G.n_sites
+    fam = source.family if isinstance(source, GeneratorMatrix) else source
+    if not fam.lattice.is_torus:
+        raise ValueError("exact computations need a torus")
+    N = fam.lattice.n_sites
     if not 0 <= n <= N:
         raise ValueError("particle count outside 0..N")
-    idx = _sector_words(N, n)
-    if idx.size > _SECTOR_SOLVE_CAP:
-        raise TooLarge(f"sector has {idx.size} states, dense solve capped at {_SECTOR_SOLVE_CAP}")
-    sub = G.Q[np.ix_(idx, idx)]
-    sub = sub.toarray() if G.sparse else sub
-    # closure: no mass may leave these rows (read in blocks: dense rows are 2^N wide)
-    mass = [np.asarray(abs(G.Q[idx[lo:lo + _LEAK_ROWS]]).sum(axis=1)).ravel()
-            for lo in range(0, idx.size, _LEAK_ROWS)]
-    leak = np.concatenate(mass) - np.abs(sub).sum(axis=1)
-    if idx.size and leak.size and leak.max() > TOL_STRUCTURAL:
-        raise PropertyViolation(f"sector leaks mass {leak.max()} outside itself")
+    size = math.comb(N, n)
+    if N > 63 or size > _SECTOR_SOLVE_CAP:
+        raise TooLarge(f"sector has {size} states on {N} sites: dense solve capped at "
+                       f"{_SECTOR_SOLVE_CAP} and 63")
+    idx, sub = _sector(fam, n)
     if idx.size == 1:
         return SectorDistribution(n, idx, np.ones(1))
+    sub = sub.toarray()
     adj = sp.csr_matrix((sub > 0).astype(np.int8))
     n_comp, _ = connected_components(adj, directed=True, connection="strong")
     if n_comp > 1:
@@ -228,12 +236,6 @@ def _uniformized(v: np.ndarray, M, t: float, tol: float = 1e-12,
         w *= lt / k
         out = out + w * g
         cum += w
-
-
-def _sector(fam: RateFamily, n: int):
-    """The n-particle sector: its ascending words and its generator."""
-    words = _sector_words(fam.lattice.n_sites, n)
-    return words, _assemble(fam, words, sector=True)
 
 
 def _sector_law(sector, word: int, t: float, extra_terms: int = 0) -> np.ndarray:

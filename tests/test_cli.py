@@ -4,6 +4,7 @@ import pytest
 
 import permuta as P
 from conftest import three_cycles
+from permuta import exact
 from permuta.cli import main
 
 DATA_FAMILY = "tests/data/three_cycles_L8.json"
@@ -177,7 +178,6 @@ def test_couple_triple(tmp_path):
     assert rc == 0
     rec = read_records(str(out))[-1]
     assert rec["inequalities"]["passed"] is True
-    assert rec["runs_E_without_J"] == 0
 
 
 def test_couple_recurrent(tmp_path):
@@ -323,6 +323,30 @@ def test_exact_sector(tmp_path):
     (rec,) = read_records(str(out))
     assert rec["states"] == 56
     assert rec["uniform_gap"] <= 1e-10
+
+
+def test_exact_sector_past_generator_caps(tmp_path):
+    """L=24 is past every full-space cap; its 2-particle sector has 276 states."""
+    path = write_family(tmp_path, three_cycles(24))
+    out = tmp_path / "e.jsonl"
+    assert main(["exact", "sector", "--family", path, "--particles", "2", "--out", str(out)]) == 0
+    (rec,) = read_records(str(out))
+    assert rec["states"] == 276
+    assert rec["pass"] is True
+
+
+def test_exact_commands_build_no_dense_generator(tmp_path, monkeypatch):
+    build = exact.build_generator
+
+    def sparse_only(fam, sparse=False):
+        if not sparse:
+            raise AssertionError("dense generator built")
+        return build(fam, sparse=sparse)
+
+    monkeypatch.setattr(exact, "build_generator", sparse_only)
+    out = tmp_path / "e.jsonl"
+    for cmd in (["stationarity", "--rho", "0.3"], ["sector", "--particles", "3"]):
+        assert main(["exact", *cmd, "--family", DATA_FAMILY, "--out", str(out)]) == 0
 
 
 def test_exact_duality_and_tolerance(tmp_path):

@@ -126,9 +126,16 @@ def test_generator_empty_family_is_zero():
     assert np.abs(G.dense()).max() == 0.0
 
 
-def test_generator_size_caps():
-    with pytest.raises(P.TooLarge):
-        P.build_generator(three_cycles(17))
+def test_generator_size_caps(monkeypatch):
+    """14 sites would be a 2 GiB dense matrix: TooLarge before any row is
+    assembled, pointing to the sparse mode."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled before the cap check")
+
+    with monkeypatch.context() as m:
+        m.setattr(exact, "_assemble", refuse)
+        with pytest.raises(P.TooLarge, match="sparse=True"):
+            P.build_generator(three_cycles(14))
     with pytest.raises(P.TooLarge):
         P.build_generator(three_cycles(23), sparse=True)
     # sparse mode stretches past the dense cap
@@ -163,11 +170,19 @@ def test_stationarity_residual_validates():
         P.stationarity_residual(np.full(64, -1.0 / 64), G)
 
 
+def sources(fam):
+    """What sector_stationary takes: the family, or a dense or sparse G."""
+    return [fam, P.build_generator(fam), P.build_generator(fam, sparse=True)]
+
+
 def test_sector_stationary_uniform():
     for fam in [three_cycles(8), swaps(8)]:
-        G = P.build_generator(fam)
+        srcs = sources(fam)
         for n in [0, 1, 3, 4, 8]:
-            sec = P.sector_stationary(G, n)
+            sec, *via_G = (P.sector_stationary(src, n) for src in srcs)
+            for other in via_G:  # a G stands for its family: the same solve
+                assert np.array_equal(other.words, sec.words)
+                assert np.array_equal(other.probs, sec.probs)
             size = math.comb(8, n)
             assert len(sec.words) == size
             assert all(bin(w).count("1") == n for w in sec.words)
@@ -178,18 +193,44 @@ def test_sector_stationary_uniform():
 def test_sector_stationary_uniform_when_asymmetric():
     # doubly stochastic dynamics keep the uniform sector measure even
     # without symmetry
-    G = P.build_generator(three_cycles(8, rate=1.0, rate_inverse=3.0))
-    sec = P.sector_stationary(G, 4)
-    assert np.abs(sec.probs - 1.0 / math.comb(8, 4)).max() < 1e-9
+    for src in sources(three_cycles(8, rate=1.0, rate_inverse=3.0)):
+        sec = P.sector_stationary(src, 4)
+        assert np.abs(sec.probs - 1.0 / math.comb(8, 4)).max() < 1e-9
 
 
 def test_sector_reducible_raises():
     dist2 = P.RateFamily(
         P.Lattice.torus([8]), ((P.FinitePermutation((((0,), (2,)),)), 1.0),)
     )
-    G = P.build_generator(dist2)
-    with pytest.raises(P.SectorReducible):
-        P.sector_stationary(G, 1)
+    for src in sources(dist2):
+        with pytest.raises(P.SectorReducible):
+            P.sector_stationary(src, 1)
+
+
+def test_sector_stationary_leaky_permutation(monkeypatch, fam8):
+    """An image outside the particle-count sector is a PropertyViolation."""
+    def leaky(pairs, mask, words):
+        return permute_bits(pairs, mask, words) | 1
+
+    monkeypatch.setattr(exact, "permute_bits", leaky)
+    with pytest.raises(P.PropertyViolation, match="outside"):
+        P.sector_stationary(fam8, 3)
+
+
+def test_sector_stationary_cap(monkeypatch):
+    """The cap lies between C(14, 7) = 3432 and C(16, 8) = 12870 states; the
+    larger sector, and any sector past 63 sites, raise TooLarge before any
+    sector word or generator row is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the cap check")
+
+    assert math.comb(14, 7) <= exact._SECTOR_SOLVE_CAP < math.comb(16, 8)
+    monkeypatch.setattr(exact, "_sector_words", refuse)
+    monkeypatch.setattr(exact, "_assemble", refuse)
+    with pytest.raises(P.TooLarge):
+        P.sector_stationary(three_cycles(16), 8)
+    with pytest.raises(P.TooLarge):
+        P.sector_stationary(three_cycles(64), 1)
 
 
 def test_uniformization_matches_expm(fam6):
