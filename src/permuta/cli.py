@@ -187,10 +187,7 @@ def cmd_couple_general(args, fam, seed):
 
 
 def cmd_couple_lemmas(args, fam, seed):
-    max_range = args.max_range
-    if max_range is None:
-        max_range = 5 if os.environ.get("PERMUTA_SLOW_TESTS") == "1" else 4
-    reports = [coupling.lemma_cover_existence(max_range), coupling.lemma_D_monotone(max_range)]
+    reports = [coupling.lemma_cover_existence(args.max_range), coupling.lemma_D_monotone(args.max_range)]
     return [rep.to_dict() for rep in reports], all(rep.passed for rep in reports)
 
 
@@ -312,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_couple_general, cmd_name="couple general", seeded=True)
 
     p = csub.add_parser("lemmas", help="exhaustive cover and monotonicity checks")
-    p.add_argument("--max-range", type=int, default=None)
+    p.add_argument("--max-range", type=int, default=4)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_couple_lemmas, cmd_name="couple lemmas")
 

@@ -98,9 +98,9 @@ def _walk(sc: _SiteClocks, buf: DrawBuffer, t: float, T: float, s: np.ndarray, r
     to T under one rule, a chunk of arrivals at a time.
 
     Draws as one arrival at a time would: one Exp(1) and, before T, one
-    uniform read with ``_SiteClocks.ring``'s arithmetic.  On a both-cover
-    arrival, shared stops before it acts, E moves both points on label 1 and
-    nothing on label 2, J moves both, and I treats it as any arrival.
+    uniform read with ``_SiteClocks.pick``.  On a both-cover arrival, shared
+    stops before it acts, E moves both points on label 1 and nothing on
+    label 2, J moves both, and I treats it as any arrival.
     ``t_hit`` is that stop, the first both-point move (E, J) or the first
     d = 0 (I, the start included); with ``stop`` the walk ends there.
     ``sink(rule, times, labels, anchors, path)`` gets each chunk's
@@ -116,15 +116,9 @@ def _walk(sc: _SiteClocks, buf: DrawBuffer, t: float, T: float, s: np.ndarray, r
         return t_hit, s, both, moves, arrival
     chunk = 64  # arrivals; doubles after each chunk without both-cover arrivals
     while True:
-        e, u = buf.blocks()
-        m = min(len(e), len(u), chunk)
-        times = e[:m] / rate
-        times[0] += t
-        np.add.accumulate(times, out=times)  # sequential, so bit-equal to t += e / rate
-        k = int(times.searchsorted(T, side="right"))
-        x = u[:k] * 2  # ring's arithmetic: the clock's point, then its anchor
-        lab = x.astype(np.int64)
-        anchor = sc.alias.draw_u_array(x - lab)
+        times, u = buf.arrivals(t, T, rate, chunk)
+        m, k = len(times), len(u)
+        lab, anchor = sc.pick(u, 2)  # the clock's point, then its anchor
         path = np.concatenate([s[None], sc.move1[lab, anchor]]).cumsum(axis=0)
         settled, drawn = k, None  # drawn: arrivals read when the walk stops in this chunk
         j = 0
@@ -793,7 +787,7 @@ def _couple(A0, B0, fam, T, seed, rule, stop_at_couple, record_history) -> Coupl
                 history.extend(CouplingEvent(te, "off-range", range_of_eid[e], 0, 0)
                                for te, e in zip(times.tolist(), eids.tolist()))
 
-        Aw, k = _advance(comp, Aw, t, T, buf, fam, seed, n, tail, rescale=True)
+        Aw, k = _advance(comp, Aw, t, T, buf, fam, seed, n, tail)
         Bw = Aw
         n += k
         a_marginal = [a + c for a, c in zip(a_marginal, fired.tolist())]

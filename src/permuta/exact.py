@@ -318,35 +318,23 @@ def asymmetric_duality_falsifier(fam: RateFamily, t: float) -> FalsifierReport:
     G = build_generator(fam, sparse=True)
     S = 1 << N
     words = np.arange(S, dtype=np.int64)
-
-    masks = [1 << i for i in range(N)]
-    masks += [(1 << i) | (1 << j) for i in range(N) for j in range(i + 1, N)]
-    sectors = {k: _sector(fam, k) for k in {m.bit_count() for m in masks}}
-
-    best_gap = -1.0
-    best: Optional[Tuple[int, int, float, float]] = None
-    n_checked = 0
-    for mask in masks:
-        # lhs(eta0) for every eta0 at once: evolve the indicator as a column
-        f = ((words & mask) == mask).astype(float)
-        lhs_vec = _uniformized(f, G.Q, t)
-        # rhs(eta0): subset-chain law out of A, then a subset-sum over eta0
-        sector = sectors[mask.bit_count()]
-        r_full = np.zeros(S)
-        r_full[sector[0]] = _sector_law(sector, mask, t)
-        for i in range(N):
-            has = ((words >> i) & 1).astype(bool)
-            r_full[has] += r_full[words[has] ^ (1 << i)]
-        gaps = np.abs(lhs_vec - r_full)
-        n_checked += S
-        top = int(np.argmax(gaps))
-        if gaps[top] > best_gap:
-            best_gap = float(gaps[top])
-            best = (top, mask, float(lhs_vec[top]), float(r_full[top]))
+    masks = np.array([1 << i for i in range(N)]
+                     + [(1 << i) | (1 << j) for i in range(N) for j in range(i + 1, N)])
+    # lhs(eta0, A) for every eta0 at once: each indicator of A pulled back as a column
+    lhs = _uniformized(((words[:, None] & masks) == masks).astype(float), G.Q, t)
+    # rhs(eta0, A): the subset chain's law out of each A pushed forward as a
+    # column (it stays on the |A| sector), then a subset-sum over eta0
+    rhs = np.zeros((S, masks.size))
+    rhs[masks, np.arange(masks.size)] = 1.0
+    rhs = _uniformized(rhs, G.Q.T, t)
+    for i in range(N):
+        has = ((words >> i) & 1).astype(bool)
+        rhs[has] += rhs[words[has] ^ (1 << i)]
+    gaps = np.abs(lhs - rhs).T  # mask by mask: the first mask, then word, of the largest gap
+    a, w = divmod(int(np.argmax(gaps)), S)
+    best_gap = float(gaps[a, w])
     found = best_gap > 1e-6
-    eta0_sites = A_sites = lhs = rhs = None
-    if best is not None:
-        w, mask, lhs, rhs = best
-        eta0_sites = tuple(lat.site_at(i) for i in range(N) if (w >> i) & 1)
-        A_sites = tuple(lat.site_at(i) for i in range(N) if (mask >> i) & 1)
-    return FalsifierReport(found, best_gap, n_checked, t, eta0_sites, A_sites, lhs, rhs)
+    eta0_sites = tuple(lat.site_at(i) for i in range(N) if (w >> i) & 1)
+    A_sites = tuple(lat.site_at(i) for i in range(N) if (masks[a] >> i) & 1)
+    return FalsifierReport(found, best_gap, gaps.size, t, eta0_sites, A_sites,
+                           float(lhs[w, a]), float(rhs[w, a]))

@@ -2,14 +2,14 @@
 
 Torus configurations are bit-packed integers in the canonical site order.
 run_config / run_finite are literal exponential-clock simulations returning
-replayable trajectories.  run_config is a block-draw kernel, ``_advance``:
-it reads its event times and permutation choices a block of draws at a
-time, with the same law and the same random stream as one event at a time,
-and only the word updates run per event.  The coupled tail of the coupling
-engines (after A = B) runs on the same kernel.  Sparse states (the dual
-set, the two tagged points of the couplings) draw their next event from one
-per-site clock kernel, ``_SiteClocks``: every tracked site rings at the
-per-site total rate M_PL.
+replayable trajectories.  Both read a chunk of arrivals at a time from
+``DrawBuffer.arrivals``, with the same law and the same random stream as
+one event at a time, and only the state updates run per event.
+run_config's kernel, ``_advance``, also runs the coupled tail of the
+coupling engines (after A = B).  Sparse states (the dual set, the two tagged
+points of the couplings) pick which clock rang with one per-site clock
+kernel, ``_SiteClocks.pick``: every tracked site rings at the per-site total
+rate M_PL.
 duality_mc additionally has a vectorized terminal sampler with the identical
 event law (state-independent total rate, null selections included) for large
 replica counts.
@@ -244,13 +244,12 @@ class _SiteClocks:
             d = np.minimum(np.maximum(d, -self._reach), self._reach) + self._reach
         return d @ self._strides
 
-    def ring(self, sites: Sequence[Site], u: float) -> Tuple[int, int, Site]:
-        """The next clock to ring among the clocks of ``sites``, from one
-        uniform: (slot i of its site, base b, shift v of the proposal)."""
-        scaled = u * len(sites)
-        i = int(scaled)
-        b, r = self.anchors[self.alias.draw_u(scaled - i)]
-        return i, b, self.lat.wrap(tuple(a - c for a, c in zip(sites[i], r)))
+    def pick(self, u: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The clocks that ring among those of k tracked sites, one uniform
+        each: (slot of the site, anchor index) per uniform of ``u``."""
+        x = u * k
+        slot = x.astype(np.int64)
+        return slot, self.alias.draw_u_array(x - slot)
 
     def apply_point(self, b: int, v: Site, x: Site) -> Site:
         """Image of site x under base b shifted by v."""
@@ -287,17 +286,22 @@ def sample_product(rho: float, lat: Lattice, seed: int) -> Configuration:
     return Configuration(lat, word)
 
 
+def _horizon_cap(rate: float, t: float, T: float) -> int:
+    """Arrivals to read for the rest of the horizon: a short one pays for
+    the expected count plus six sigmas, not a block."""
+    need = max(rate * (T - t), 0.0)
+    return int(need + 6 * math.sqrt(need)) + 16
+
+
 def _advance(comp: _Compiled, word: int, t: float, T: float, buf: DrawBuffer,
-             fam: RateFamily, seed: int, n0: int, sink=None, rescale: bool = False):
+             fam: RateFamily, seed: int, n0: int, sink=None):
     """The configuration process from ``word`` at time ``t`` up to time ``T``.
 
     Returns (final word, event count) and hands each chunk of events to
     ``sink(ids, times)``: fired expanded ids and event times as arrays.
-    Reads ``buf`` a chunk at a time, yet draws and computes exactly as one
-    event at a time would: one Exp(1) then one uniform per event, times as
-    the running sum ``t += e / Q_tot``, ids by ``draw_u``.  With ``rescale`` a uniform u
-    enters as (u Q_tot) / Q_tot, as in the coupled loop, which can differ
-    from u in the last bit.  The particle count is checked after every
+    Reads ``buf`` a chunk of arrivals at a time, yet draws and computes
+    exactly as one event at a time would: one Exp(1) then one uniform per
+    event, ids by ``draw_u``.  The particle count is checked after every
     event; ``n0`` events came before, for the event number a violation
     reports.
     """
@@ -305,17 +309,9 @@ def _advance(comp: _Compiled, word: int, t: float, T: float, buf: DrawBuffer,
     count0 = word.bit_count()
     n = n0
     while True:
-        e, u = buf.blocks()
-        m = min(len(e), len(u))
-        need = max(Q * (T - t), 0.0)  # expected events left
-        if need < m:  # a short horizon pays for a chunk of six sigmas, not a block
-            m = min(m, int(need + 6 * math.sqrt(need)) + 16)
-        times = e[:m] / Q
-        times[0] += t
-        np.add.accumulate(times, out=times)  # sequential, so bit-equal to the scalar sum
-        k = int(times.searchsorted(T, side="right"))
-        u = u[:k]
-        ids = comp.alias.draw_u_array((u * Q) / Q if rescale else u)
+        times, u = buf.arrivals(t, T, Q, _horizon_cap(Q, t, T))
+        m, k = len(times), len(u)
+        ids = comp.alias.draw_u_array(u)
         for j, eid in enumerate(ids.tolist()):
             word = permute_bits(pairs[eid], masks[eid], word)
             if word.bit_count() != count0:  # bijections cannot do this
@@ -378,27 +374,32 @@ def run_finite(
     rate = len(slots) * clocks.M_PL
     t, events, n = 0.0, [], 0
     while slots:
-        t += buf.std_exponential() / rate
-        if t > T:
+        times, u = buf.arrivals(t, T, rate, _horizon_cap(rate, t, T))
+        slot, anchor = clocks.pick(u, len(slots))
+        for t, i, a in zip(times.tolist(), slot.tolist(), anchor.tolist()):
+            b, r = clocks.anchors[a]
+            v = lat.wrap(tuple(c - d for c, d in zip(slots[i], r)))
+            covered = []
+            for x in clocks.ranges[b]:
+                j = slot_of.get(lat.shift(x, v))
+                if j is not None:
+                    covered.append(j)
+            if min(covered) != i:
+                continue  # a lower slot in the range proposes this permutation
+            for j in covered:
+                del slot_of[slots[j]]
+            for j in covered:
+                slots[j] = clocks.apply_point(b, v, slots[j])
+                slot_of[slots[j]] = j
+            n += 1
+            if len(slot_of) != len(slots):
+                raise _violation("dual support size changed", fam, seed, t=t, event=n)
+            if record_events:
+                events.append((t, b, v))
+        if len(u) < len(times):  # the horizon ends in this chunk
             break
-        i, b, v = clocks.ring(slots, buf.uniform())
-        covered = []
-        for r in clocks.ranges[b]:
-            j = slot_of.get(lat.shift(r, v))
-            if j is not None:
-                covered.append(j)
-        if min(covered) != i:
-            continue  # a lower slot in the range proposes this permutation
-        for j in covered:
-            del slot_of[slots[j]]
-        for j in covered:
-            slots[j] = clocks.apply_point(b, v, slots[j])
-            slot_of[slots[j]] = j
-        n += 1
-        if len(slot_of) != len(slots):
-            raise _violation("dual support size changed", fam, seed, t=t, event=n)
-        if record_events:
-            events.append((t, b, v))
+        buf.consume(len(times))
+        t = times[-1]
     return Trajectory(seed, T, tuple(events), DualState(lat, frozenset(slots)), n)
 
 

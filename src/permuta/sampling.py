@@ -3,9 +3,10 @@
 Counter-based Philox streams keyed by (seed, replica) give bit-exact
 reproducibility.  Scalar engines read their uniforms and Exp(1) variates
 from a ``DrawBuffer`` and pick discrete outcomes with ``AliasTable.draw_u``;
-block kernels read whole ``DrawBuffer`` blocks and pick with
-``AliasTable.draw_u_array``, which keeps the scalar stream and arithmetic;
-the vectorized sampler uses ``AliasTable.draw_many``.
+event kernels read a chunk of Poisson arrivals at a time with
+``DrawBuffer.arrivals`` (their times and uniforms) and pick with
+``AliasTable.draw_u_array``; both keep the scalar stream and arithmetic.
+The vectorized sampler uses ``AliasTable.draw_many``.
 """
 
 from __future__ import annotations
@@ -104,19 +105,29 @@ class DrawBuffer:
         self._ie += 1
         return float(v)
 
-    def blocks(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The unread Exp(1) variates and uniforms, both non-empty.
+    def arrivals(self, t: float, T: float, rate: float, cap: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Times of at most ``cap`` > 0 arrivals of a rate-``rate`` Poisson
+        clock after time t, and the uniforms of those at or before T.
 
-        An empty block is refilled first, the exponential one before the
-        uniform one: the order in which alternating ``std_exponential`` /
-        ``uniform`` calls refill them.  The arrays are views; nothing counts
+        Arrival j reads the j-th unread Exp(1) variate and uniform, as
+        alternating ``std_exponential`` / ``uniform`` calls would: times are
+        the running sum ``t += e / rate``, and an empty block is refilled
+        when the first arrival reads it, the exponential one first and the
+        uniform one only if that arrival is at or before T.  Nothing counts
         as read until ``consume``.
         """
         if self._ie == self._block:
             self._refill_e()
-        if self._iu == self._block:
+        m = min(self._block - self._ie, cap)
+        if self._iu < self._block:
+            m = min(m, self._block - self._iu)
+        times = self._e[self._ie:self._ie + m] / rate
+        times[0] += t
+        np.add.accumulate(times, out=times)  # sequential, so bit-equal to the scalar sum
+        k = int(times.searchsorted(T, side="right"))
+        if k and self._iu == self._block:
             self._refill_u()
-        return self._e[self._ie:], self._u[self._iu:]
+        return times, self._u[self._iu:self._iu + k]
 
     def consume(self, k: int) -> None:
         """Mark the next k exponentials and the next k uniforms as read."""

@@ -272,12 +272,13 @@ def test_couple_general(tmp_path):
     assert rec["D_final"] <= rec["D_initial"]
 
 
-def test_couple_lemmas(tmp_path):
+def test_couple_lemmas(tmp_path, monkeypatch):
+    monkeypatch.setenv("PERMUTA_SLOW_TESTS", "1")  # the test switch does not move the default
     out = tmp_path / "l.jsonl"
-    rc = main(["couple", "lemmas", "--max-range", "4", "--out", str(out)])
+    rc = main(["couple", "lemmas", "--out", str(out)])
     assert rc == 0
     recs = read_records(str(out))
-    assert all(r["passed"] for r in recs)
+    assert all(r["passed"] and r["max_range"] == 4 for r in recs)
 
 
 def test_couple_bound(tmp_path):

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -284,7 +286,7 @@ def test_next_arrival_first_arrival_law(fam, p2):
 
     for _ in range(n):
         # a horizon at the first arrival's time: the walk settles that arrival alone
-        T = buf.blocks()[0][0] / (2 * sc.M_PL)
+        T = buf.arrivals(0.0, 0.0, 2 * sc.M_PL, 1)[0][0]
         seen.clear()
         coupling._walk(sc, buf, 0.0, T, s0, "I", False, sink)
         (t, lab, a, cover, (q1, dq)), = seen
@@ -313,8 +315,11 @@ def _scalar_arrival(clocks, pair, t, T, buf):
     t += buf.std_exponential() / (2 * clocks.M_PL)
     if t > T:
         return t, None
-    i, b, v = clocks.ring(pair, buf.uniform())
+    scaled = buf.uniform() * 2  # the point whose clock rang, then its anchor
+    i = int(scaled)
+    b, r = clocks.anchors[clocks.alias.draw_u(scaled - i)]
     lat = clocks.lat
+    v = lat.wrap(tuple(a - c for a, c in zip(pair[i], r)))
     covers = sum(1 << k for k, x in enumerate(pair)
                  if lat.wrap(tuple(a - c for a, c in zip(x, v))) in clocks.ranges[b])
     return t, (b, v, covers, i + 1)
@@ -457,6 +462,23 @@ def test_run_triple_equals_scalar_reference(fam, x, T, n):
         assert (res.final, res.counters) == (final, counters)
         bare = P.run_triple(x, fam, T, seed, record_history=False)
         assert (bare.events, bare.history, bare.final) == (res.events, (), final)
+
+
+@pytest.mark.parametrize("fam", [three_cycles(8), three_cycles(), axis_three_cycles_3d(), swaps(3, 4)],
+                         ids=["L8", "Z", "Z3", "swaps3x4"])
+def test_run_finite_on_two_points_is_the_E_walk(fam):
+    """The set process on two sorted points fires a both-cover proposal only
+    from the lower point's clock, as the E rule acts on label 1: on the same
+    draws both end on the same pair."""
+    lat = fam.lattice
+    sc = _site_clocks(fam)
+    sites = lat.sites() if lat.is_torus else list(itertools.product(range(-3, 4), repeat=lat.dimension))
+    for seed in range(50):
+        p1, p2 = sorted(random.Random(seed).sample(sites, 2))
+        traj = P.run_finite(P.DualState.of(lat, [p1, p2]), fam, 5.0, seed, record_events=False)
+        buf = DrawBuffer(substream(seed), block=1024)
+        s = coupling._walk(sc, buf, 0.0, 5.0, np.array([p1, np.subtract(p2, p1)]), "E", False)[1]
+        assert set(coupling._pairs(lat, s[None])[0]) == traj.terminal.sites
 
 
 @pytest.fixture

@@ -401,6 +401,15 @@ def test_falsifier_clears_symmetric_family(fam6):
     assert rep.max_gap < 1e-9
 
 
+@pytest.mark.parametrize("fam, t", [(three_cycles(8), 1.0), (three_cycles(10), 3.0),
+                                    (swaps(3, 3), 0.7)], ids=["L8", "L10", "swaps3x3"])
+def test_falsifier_pair_matches_duality_exact(fam, t):
+    rep = P.asymmetric_duality_falsifier(fam, t)
+    eta0 = P.Configuration.from_sites(fam.lattice, rep.eta0_sites)
+    lhs, rhs = P.duality_exact(fam, eta0, rep.A_sites, t)
+    assert abs(rep.lhs - lhs) <= 1e-12 and abs(rep.rhs - rhs) <= 1e-12
+
+
 def test_falsifier_no_witness_at_time_zero():
     rep = P.asymmetric_duality_falsifier(one_way_three_cycles(6), 0.0)
     assert not rep.witness_found

@@ -1,13 +1,16 @@
+import copy
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import permuta as P
-from conftest import three_cycles
-from permuta import process
-from permuta.process import _compiled, permute_bits
+from conftest import axis_three_cycles_3d, swaps, three_cycles
+from permuta import coupling, process
+from permuta.process import _compiled, _site_clocks, permute_bits
 from permuta.sampling import DrawBuffer, substream
 
 
@@ -22,12 +25,11 @@ def test_configuration_accessors():
     assert P.Configuration.full(lat).particle_count == 6
 
 
-def scalar_config(word, fam, T, seed, block=1024, rescale=False):
+def scalar_config(word, fam, T, seed, block=1024):
     """Reference: the configuration process one event at a time, one Exp(1)
     and one uniform per event.
 
-    Returns (final word, [(t, expanded id)]).  ``rescale`` feeds draw_u the
-    coupled loop's (u Q_tot) / Q_tot instead of u."""
+    Returns (final word, [(t, expanded id)])."""
     comp = _compiled(fam)
     buf = DrawBuffer(substream(seed), block=block)
     t, fired = 0.0, []
@@ -35,8 +37,7 @@ def scalar_config(word, fam, T, seed, block=1024, rescale=False):
         t += buf.std_exponential() / comp.Q_tot
         if t > T:
             return word, fired
-        u = buf.uniform()
-        e = comp.alias.draw_u((u * comp.Q_tot) / comp.Q_tot if rescale else u)
+        e = comp.alias.draw_u(buf.uniform())
         word = permute_bits(comp.pairs[e], comp.masks[e], word)
         fired.append((t, e))
 
@@ -69,7 +70,7 @@ def test_coupled_start_equals_scalar_reference(fam):
     comp = _compiled(fam)
     for seed in (4, 5):
         eta0 = P.sample_product(0.5, fam.lattice, seed)
-        word, fired = scalar_config(eta0.word, fam, 300.0, seed, block=4096, rescale=True)
+        word, fired = scalar_config(eta0.word, fam, 300.0, seed, block=4096)
         res = P.run_general_coupling(eta0, eta0, fam, 300.0, seed)
         assert res.final.A.word == res.final.B.word == word
         assert res.counters["a_marginal"] == np.bincount(
@@ -83,54 +84,72 @@ class FixedDraws:
     def __init__(self, e, u):
         self.e, self.u = np.array(e), np.array(u)
 
-    def blocks(self):
-        return self.e, self.u
+    def arrivals(self, t, T, rate, cap):
+        times = t + np.cumsum(self.e[:cap] / rate)
+        return times, self.u[:int(times.searchsorted(T, side="right"))]
 
     def consume(self, k):
         raise AssertionError("the horizon ends inside the block")
 
 
-def test_advance_rescale_keeps_coupled_loop_arithmetic():
+def test_coupled_tail_picks_ids_as_run_config(monkeypatch):
     fam = three_cycles(20, rate=0.7, rate_inverse=1.9)  # Q_tot = 52
     comp = _compiled(fam)
     u = 0.04999999999999999  # (u Q_tot) / Q_tot is one ulp off u and picks another permutation
-    plain = comp.alias.draw_u(u)
-    coupled = comp.alias.draw_u((u * comp.Q_tot) / comp.Q_tot)
-    assert plain != coupled
-    for rescale, want in ((False, plain), (True, coupled)):
-        fired = []
-        buf = FixedDraws([0.1, 100.0], [u, 0.5])  # one event before T = 1
-        _, n = process._advance(comp, 0b111, 0.0, 1.0, buf, fam, 1, 0,
-                                lambda ids, times: fired.extend(ids.tolist()), rescale)
-        assert n == 1 and fired == [want]
+    want = comp.alias.draw_u(u)
+    assert want != comp.alias.draw_u((u * comp.Q_tot) / comp.Q_tot)
+    for module in (process, coupling):  # one event before T = 1
+        monkeypatch.setattr(module, "DrawBuffer", lambda *args, **kwargs: FixedDraws([0.1, 100.0], [u, 0.5]))
+    eta0 = P.Configuration(fam.lattice, 0b111)
+    traj = P.run_config(eta0, fam, 1.0, 1)
+    assert traj.events == ((0.1 / comp.Q_tot, comp.base_idx[want], comp.shifts[want]),)
+    res = P.run_general_coupling(eta0, eta0, fam, 1.0, 1)  # A = B: the coupled tail alone
+    assert res.counters["a_marginal"] == [int(e == want) for e in range(len(comp.perms))]
 
 
-def test_draw_buffer_block_reads_keep_scalar_order():
-    """Block reads mixed with scalar reads give the values of the same
-    exponential / uniform alternation read one draw at a time."""
-    def scalar(buf, step):  # step: k (exponential, uniform) pairs, or "u" for one uniform
+@settings(max_examples=40, deadline=None)
+@given(block=st.integers(1, 6), rate=st.floats(0.1, 50.0), plan=st.lists(st.one_of(
+    st.integers(1, 9), st.just("u"),
+    st.tuples(st.integers(1, 9), st.floats(-0.5, 1.5), st.floats(0.0, 1.0))), max_size=12))
+def test_draw_buffer_block_reads_keep_scalar_order(block, rate, plan):
+    """Chunks of arrivals mixed with scalar reads give the values of the
+    same exponential / uniform alternation read one draw at a time.
+
+    A plan step is k scalar (exponential, uniform) pairs, one scalar uniform
+    ("u"), or a chunk (cap, T as a share of cap / rate past t, share of the
+    arrivals at or before T consumed) read as the event kernels do: at least
+    the first arrival before T is consumed, and the arrival past T is read
+    with ``std_exponential`` when the kernel stops there."""
+    buf, ref = DrawBuffer(substream(9), block=block), DrawBuffer(substream(9), block=block)
+    t = 0.0
+    for step in plan:
         if step == "u":
-            return [buf.uniform()]
-        return [x for _ in range(step) for x in (buf.std_exponential(), buf.uniform())]
-
-    def blocked(buf, k):
-        out = []
-        while k:
-            e, u = buf.blocks()
-            j = min(len(e), len(u), k)
-            out += [x for pair in zip(e[:j].tolist(), u[:j].tolist()) for x in pair]
-            buf.consume(j)
-            k -= j
-        return out
-
-    plan = [3, 5, "u", 4, 2, 7, "u", 6, "u", 9, 1, 3]  # odd positions read blocks
-    buf = DrawBuffer(substream(9), block=4)
-    mixed = [x for i, step in enumerate(plan)
-             for x in (blocked(buf, step) if i % 2 else scalar(buf, step))]
-    ref = DrawBuffer(substream(9), block=4)
-    assert mixed == [x for step in plan for x in scalar(ref, step)]
+            assert buf.uniform() == ref.uniform()
+            continue
+        if isinstance(step, int):
+            for _ in range(step):
+                assert (buf.std_exponential(), buf.uniform()) == (ref.std_exponential(), ref.uniform())
+            continue
+        cap, horizon, share = step
+        T = t + horizon * cap / rate
+        times, u = buf.arrivals(t, T, rate, cap)
+        m, k = len(times), len(u)
+        assert 1 <= m <= cap and k == int((times <= T).sum())
+        peek, s = copy.deepcopy(ref), t
+        for j, tj in enumerate(times.tolist()):  # every arrival offered, read one at a time
+            s += peek.std_exponential() / rate
+            uj = peek.uniform()
+            assert tj == s and (j >= k or u[j] == uj)
+        used = min(k, 1 + int(share * k))
+        buf.consume(used)
+        for _ in range(used):
+            ref.std_exponential()
+            ref.uniform()
+        if used == k < m:
+            assert buf.std_exponential() == ref.std_exponential()  # the arrival past T
+        t = float(times[used - 1]) if used else t
     with pytest.raises(ValueError):
-        DrawBuffer(substream(9), block=4).consume(5)
+        buf.consume(block + 1)
 
 
 def test_sample_product_extremes():
@@ -255,6 +274,52 @@ def test_run_finite_on_unbounded_lattice():
     A0 = P.DualState.of(fam.lattice, [(0,), (1,)])
     traj = P.run_finite(A0, fam, 3.0, 2)
     assert len(traj.terminal.sites) == 2
+
+
+def scalar_finite(A0, fam, T, seed, record_events=True):
+    """Reference ``run_finite``: the set process one ring at a time, one
+    Exp(1) and, before T, one uniform per ring."""
+    clocks = _site_clocks(fam)
+    lat = fam.lattice
+    buf = DrawBuffer(substream(seed), block=1024)
+    slots = sorted(A0.sites)
+    slot_of = {x: i for i, x in enumerate(slots)}
+    rate = len(slots) * clocks.M_PL
+    t, events, n = 0.0, [], 0
+    while slots:
+        t += buf.std_exponential() / rate
+        if t > T:
+            break
+        scaled = buf.uniform() * len(slots)  # the slot that rang, then its anchor
+        i = int(scaled)
+        b, r = clocks.anchors[clocks.alias.draw_u(scaled - i)]
+        v = lat.wrap(tuple(a - c for a, c in zip(slots[i], r)))
+        covered = [slot_of[y] for y in (lat.shift(x, v) for x in clocks.ranges[b]) if y in slot_of]
+        if min(covered) != i:
+            continue
+        for j in covered:
+            del slot_of[slots[j]]
+        for j in covered:
+            slots[j] = clocks.apply_point(b, v, slots[j])
+            slot_of[slots[j]] = j
+        n += 1
+        if record_events:
+            events.append((t, b, v))
+    return P.Trajectory(seed, T, tuple(events), P.DualState(lat, frozenset(slots)), n)
+
+
+@pytest.mark.parametrize("fam, A, T", [
+    (three_cycles(), [(0,), (1,), (5,)], 40.0),
+    (three_cycles(), [(k,) for k in range(0, 60, 3)], 20.0),  # 2400 rings: three 1024-draw blocks
+    (axis_three_cycles_3d(), [(0, 0, 0), (1, 0, 0), (0, 2, -1), (3, 3, 3)], 10.0),
+    (three_cycles(12, rate=0.7, rate_inverse=1.9), [(0,), (2,), (3,), (9,)], 40.0),
+    (swaps(3, 4), [(0, 0), (0, 1), (2, 3)], 20.0),
+], ids=["Z", "Z-20pts", "Z3", "mixed-L12", "swaps3x4"])
+def test_run_finite_equals_scalar_reference(fam, A, T):
+    A0 = P.DualState.of(fam.lattice, A)
+    for seed, horizon in ((1, T), (2, 0.0), (3, -1.0)):
+        for record in (True, False):
+            assert P.run_finite(A0, fam, horizon, seed, record) == scalar_finite(A0, fam, horizon, seed, record)
 
 
 @pytest.mark.parametrize("dims, A, T", [((8,), [(0,), (1,), (4,)], 2.0), ((), [(0,), (1,)], 3.0)])
